@@ -33,12 +33,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .density import DEFAULT_P_GRID, Problem, density_grid, f1_exact_wiener
+from .density import DEFAULT_P_GRID, Problem, density_row, f1_exact_wiener
 from .distributions import truncated_beta, truncated_exponential
 from .kle import KleProcess
 from .mc_oracle import McConfig, mc_density_check
-from .stats import (ErrorReport, e_moment_consecutive, e_moment_exact,
-                    e_pdf_consecutive, e_pdf_exact, moments_n)
+from .stats import (ErrorReport, density_moments, e_moment_consecutive,
+                    e_moment_exact, e_pdf_consecutive, e_pdf_exact, moments_n)
 
 __all__ = ["main", "resolve_config", "PRESETS"]
 
@@ -150,6 +150,15 @@ def _validate(cfg):
         raise SystemExit(f"error kind must be one of {', '.join(_ERROR_KINDS)}")
     if cfg["threads"] < 1:
         raise SystemExit("threads must be >= 1")
+    domain = _build_process(proc).domain
+    times = [("t_grid", t) for t in _grid_values(cfg["t_grid"], None)]
+    times += [("errors.times", t) for t in cfg["errors"]["times"] or []]
+    if cfg["mc"].get("t") is not None:
+        times.append(("mc.t", cfg["mc"]["t"]))
+    for key, t in times:
+        if not domain.contains(float(t)):
+            raise SystemExit(f"{key} value {float(t)} outside the model's time "
+                             f"domain [{domain.t0}, {domain.T}]")
 
 
 def _build_process(proc_cfg) -> KleProcess:
@@ -268,7 +277,7 @@ def cmd_pdf(cfg, outdir: Path):
     for idx, N in enumerate(cfg["N"]):
         problem = _problem(cfg, N, idx)
         rows_per_t = _map_ordered(
-            lambda t, pr=problem: density_grid(pr, p_grid, [t]).values[0],
+            lambda t, pr=problem: density_row(pr, p_grid, t),
             list(t_grid), cfg["threads"])
         rows = [(t, p, v) for t, vals in zip(t_grid, rows_per_t)
                 for p, v in zip(p_grid, vals)]
@@ -293,18 +302,14 @@ def cmd_moments(cfg, outdir: Path):
         ["exact_mean", "exact_variance"] if exact else [])
 
     problems = [_problem(cfg, N, i) for i, N in enumerate(cfg["N"])]
+    T = cfg["process"].get("T", 1.5)
     rows = []
     for t in t_grid:
         pairs = _map_ordered(lambda pr, tt=t: moments_n(pr, tt), problems,
                              cfg["threads"])
         if exact:
-            from .stats import _moment_grid
-            from scipy.integrate import simpson
-            p = _moment_grid()
-            f = f1_exact_wiener(problems[0].initial, p, t,
-                                cfg["process"].get("T", 1.5))
-            em = float(simpson(p * f, x=p))
-            ev = max(float(simpson(p * p * f, x=p)) - em * em, 0.0)
+            em, ev = density_moments(
+                lambda p: f1_exact_wiener(problems[0].initial, p, t, T))
         for (mean, var), N in zip(pairs, cfg["N"]):
             row = [float(t), int(N), mean, var]
             if exact:
@@ -416,22 +421,28 @@ def _parser():
 
 
 def main(argv=None):
+    """Run one subcommand.  Returns 0, 3 for a failed mc-check, or 2 after
+    printing a library ValueError (bad model or grid input) as one line."""
     args = _parser().parse_args(argv)
-    cfg = resolve_config(args)
-    outdir = Path(cfg["out"])
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        cfg = resolve_config(args)
+        outdir = Path(cfg["out"])
+        outdir.mkdir(parents=True, exist_ok=True)
 
-    ok = True
-    if args.command == "spectrum":
-        artifacts = cmd_spectrum(cfg, outdir)
-    elif args.command == "pdf":
-        artifacts = cmd_pdf(cfg, outdir)
-    elif args.command == "moments":
-        artifacts = cmd_moments(cfg, outdir)
-    elif args.command == "errors":
-        artifacts = cmd_errors(cfg, outdir)
-    else:
-        artifacts, ok = cmd_mc_check(cfg, outdir)
+        ok = True
+        if args.command == "spectrum":
+            artifacts = cmd_spectrum(cfg, outdir)
+        elif args.command == "pdf":
+            artifacts = cmd_pdf(cfg, outdir)
+        elif args.command == "moments":
+            artifacts = cmd_moments(cfg, outdir)
+        elif args.command == "errors":
+            artifacts = cmd_errors(cfg, outdir)
+        else:
+            artifacts, ok = cmd_mc_check(cfg, outdir)
+    except ValueError as exc:
+        print(f"logistic-kle {args.command}: {exc}", file=sys.stderr)
+        return 2
 
     _write_manifest(outdir, args.command, cfg, artifacts)
     for name in artifacts:

@@ -20,10 +20,10 @@ paths are provided:
 * ``f1_exact_wiener`` -- the non-truncated reference for the Wiener model,
                        where the time-integral is N(0, t^3/3) exactly.
 
-The collapsed/exact paths default to a convolution-in-logit-space evaluator
-(panelled Gauss-Legendre over the initial support) that resolves the
-integrand's support kinks and is accurate to machine precision; passing an
-explicit Gauss-Hermite rule switches to the plain sum over that rule.
+The collapsed/exact paths evaluate a convolution in logit space (panelled
+Gauss-Legendre over the initial support) that resolves the integrand's
+support kinks and is accurate to machine precision.  ``density_row`` is the
+one place that picks the path of an order-N density row.
 """
 
 from __future__ import annotations
@@ -36,17 +36,17 @@ from scipy.special import expit, logit
 
 from .distributions import InitialLaw
 from .kle import KleProcess, kn_sigma, primitive_h
-from .quadrature import (QuadratureRule, default_order, make_rule,
-                         rule_for_law, tensor_nodes_chunks)
+from .quadrature import (QuadratureRule, default_order, rule_for_law,
+                         tensor_nodes_chunks)
 
 __all__ = [
     "Problem",
     "DensityGrid",
-    "k_n",
     "rvt_kernel",
     "f1n_eval",
     "f1n_collapsed",
     "f1_exact_wiener",
+    "density_row",
     "density_grid",
     "DEFAULT_P_GRID",
 ]
@@ -95,18 +95,6 @@ class DensityGrid:
     meta: dict = field(default_factory=dict)
 
 
-def k_n(process: KleProcess, t, xi):
-    """Time-integral of the N-term truncated coefficient: m(t) + sum H_j(t) xi_j."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim != 1 or xi.size < 1:
-        raise ValueError("xi must be a nonempty 1-D vector")
-    process.domain.require(t)
-    total = process.mean_primitive(t)
-    for j in range(1, xi.size + 1):
-        total += primitive_h(process, j, t) * xi[j - 1]
-    return float(total)
-
-
 def rvt_kernel(p, K):
     """Inverse-flow point and Jacobian of the logistic transport map.
 
@@ -144,19 +132,21 @@ def rvt_kernel(p, K):
     return arg, jac
 
 
+def _p_array(p):
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    if np.any((p <= 0) | (p >= 1)):
+        raise ValueError("p must lie in (0, 1)")
+    return p
+
+
 # ---------------------------------------------------------------------------
 # tensor path
 
 
 def _f1n_tensor_many(problem: Problem, p, t):
     """Tensor-quadrature density at a vector of p values, one time t."""
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    if np.any((p <= 0) | (p >= 1)):
-        raise ValueError("p must lie in (0, 1)")
+    p = _p_array(p)
     problem.process.domain.require(t)
-    if abs(t - problem.process.domain.t0) <= _T0_TOL:
-        return problem.initial.pdf(p)
-
     h = problem.h_vector(t)
     m_t = problem.process.mean_primitive(t)
     f0 = problem.initial.pdf
@@ -172,8 +162,8 @@ def _f1n_tensor_many(problem: Problem, p, t):
 def f1n_eval(problem: Problem, p, t):
     """Density of the order-N solution at (p, t) by tensor quadrature.
 
-    At t = t0 this is the initial density exactly (K = 0 at every node and
-    the weights sum to one), so that case is returned directly.
+    At t = t0 every node has K = 0, so this is the initial density up to
+    rounding.
     """
     return float(_f1n_tensor_many(problem, p, t)[0])
 
@@ -197,9 +187,7 @@ def _gauss_logit_convolution(p, mean, sigma, law: InitialLaw,
     resolves the kernel to machine precision; the initial-support endpoints
     are window endpoints, so the kink there is never straddled.
     """
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    if np.any((p <= 0) | (p >= 1)):
-        raise ValueError("p must lie in (0, 1)")
+    p = _p_array(p)
     if sigma == 0.0:
         return law.pdf(p)
 
@@ -229,44 +217,26 @@ def _gauss_logit_convolution(p, mean, sigma, law: InitialLaw,
     return out / (p * (1.0 - p))
 
 
-def _hermite_sum(p, mean, sigma, law: InitialLaw, rule: QuadratureRule):
-    """Plain Gauss-Hermite sum over K = mean + sigma * z for the same object."""
-    if rule.kind != "hermite":
-        raise ValueError("collapsed path needs a Gauss-Hermite rule")
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    K = mean + sigma * rule.nodes
-    out = np.empty(p.size)
-    for i in range(p.size):
-        arg, jac = rvt_kernel(p[i], K)
-        out[i] = np.dot(rule.weights, law.pdf(arg) * jac)
-    return out
+def _scalar_or_row(p, out):
+    return float(out[0]) if np.ndim(p) == 0 else out
 
 
-def f1n_collapsed(problem: Problem, p, t, rule: QuadratureRule | None = None):
+def f1n_collapsed(problem: Problem, p, t):
     """Density of the order-N solution via the exact 1-D Gaussian reduction.
 
     Requires Gaussian coordinates: K_N(t) is then N(m(t), sigma_N(t)^2) with
     sigma_N from the closed-form primitives, and the N-dimensional integral
-    equals a single integral over that law.  With ``rule=None`` (default) the
-    logit-convolution evaluator is used; passing a Gauss-Hermite rule gives
-    the plain weighted sum over K = m + sigma z instead.
+    equals a single integral over that law.
     """
     if problem.process.xi_law.kind != "gaussian":
         raise ValueError("collapsed path requires Gaussian KLE coordinates")
     problem.process.domain.require(t)
     mean, sigma = kn_sigma(problem.process, t, problem.N)
-    p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-    if sigma == 0.0:
-        out = problem.initial.pdf(p_arr)
-    elif rule is None:
-        out = _gauss_logit_convolution(p_arr, mean, sigma, problem.initial)
-    else:
-        out = _hermite_sum(p_arr, mean, sigma, problem.initial, rule)
-    return float(out[0]) if np.isscalar(p) or np.asarray(p).ndim == 0 else out
+    return _scalar_or_row(p, _gauss_logit_convolution(p, mean, sigma,
+                                                      problem.initial))
 
 
-def f1_exact_wiener(initial: InitialLaw, p, t, T=1.5,
-                    rule: QuadratureRule | None = None):
+def f1_exact_wiener(initial: InitialLaw, p, t, T=1.5):
     """Non-truncated density for the Wiener growth model.
 
     The full time-integral of the Wiener process is N(0, t^3/3), so the exact
@@ -276,27 +246,34 @@ def f1_exact_wiener(initial: InitialLaw, p, t, T=1.5,
     if not 0.0 <= t <= T + _T0_TOL:
         raise ValueError(f"time {t} outside [0, {T}]")
     sigma = np.sqrt(t ** 3 / 3.0)
-    p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-    if sigma == 0.0:
-        out = initial.pdf(p_arr)
-    elif rule is None:
-        out = _gauss_logit_convolution(p_arr, 0.0, sigma, initial)
-    else:
-        out = _hermite_sum(p_arr, 0.0, sigma, initial, rule)
-    return float(out[0]) if np.isscalar(p) or np.asarray(p).ndim == 0 else out
+    return _scalar_or_row(p, _gauss_logit_convolution(p, 0.0, sigma, initial))
+
+
+def _path(problem: Problem):
+    return "collapsed" if problem.process.xi_law.kind == "gaussian" else "tensor"
+
+
+def density_row(problem: Problem, p, t):
+    """Order-N density f1n at an array of p values and one time t.
+
+    The initial density at t0; otherwise the collapsed 1-D path for Gaussian
+    coordinates and the tensor path for every other coordinate law.
+    """
+    p = _p_array(p)
+    if abs(t - problem.process.domain.t0) <= _T0_TOL:
+        return problem.initial.pdf(p)
+    if _path(problem) == "collapsed":
+        return f1n_collapsed(problem, p, t)
+    return _f1n_tensor_many(problem, p, t)
 
 
 # ---------------------------------------------------------------------------
-# grid driver
+# grids
 
 
-def density_grid(problem: Problem, p_grid=None, t_grid=None, path="auto"):
-    """Fill a DensityGrid over sorted p and t grids.
-
-    ``path`` is one of 'auto' (collapsed for Gaussian coordinates, tensor
-    otherwise), 'tensor', 'collapsed', or 'exact' (Wiener reference density,
-    ignoring the truncation order).
-    """
+def density_grid(problem: Problem, p_grid=None, t_grid=None):
+    """Fill a DensityGrid over sorted p and t grids, one ``density_row`` per
+    time; ``meta["path"]`` names the path those rows take away from t0."""
     p_grid = DEFAULT_P_GRID.copy() if p_grid is None else np.asarray(p_grid, dtype=float)
     if t_grid is None:
         dom = problem.process.domain
@@ -304,26 +281,11 @@ def density_grid(problem: Problem, p_grid=None, t_grid=None, path="auto"):
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(p_grid) <= 0) or np.any(np.diff(t_grid) < 0):
         raise ValueError("grids must be sorted ascending")
-    if np.any((p_grid <= 0) | (p_grid >= 1)):
-        raise ValueError("p grid must lie inside (0, 1)")
-
-    if path == "auto":
-        path = "collapsed" if problem.process.xi_law.kind == "gaussian" else "tensor"
-    if path == "exact" and problem.process.kind != "wiener":
-        raise ValueError("exact reference density is only known for the Wiener model")
 
     values = np.empty((t_grid.size, p_grid.size))
     for i, t in enumerate(t_grid):
-        if path == "tensor":
-            values[i] = _f1n_tensor_many(problem, p_grid, t)
-        elif path == "collapsed":
-            values[i] = f1n_collapsed(problem, p_grid, t)
-        elif path == "exact":
-            values[i] = f1_exact_wiener(problem.initial, p_grid, t,
-                                        problem.process.params["T"])
-        else:
-            raise ValueError(f"unknown path {path!r}")
-
+        values[i] = density_row(problem, p_grid, t)
+    path = _path(problem)
     meta = {
         "N": problem.N,
         "quad_order": problem.rule.order if path == "tensor" else None,

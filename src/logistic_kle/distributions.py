@@ -20,9 +20,6 @@ __all__ = [
     "XiLaw",
     "truncated_beta",
     "truncated_exponential",
-    "initial_pdf",
-    "initial_sample",
-    "xi_pdf",
     "STANDARD_GAUSSIAN",
     "UNIFORM_SYM",
 ]
@@ -104,9 +101,6 @@ class InitialLaw:
         out = np.clip(out, self.p01, self.p02)
         return float(out) if scalar else out
 
-    def sample(self, rng, size=None):
-        return self.ppf(rng.uniform(size=size) if size is not None else rng.uniform())
-
     def moments(self):
         """(mean, variance) by adaptive quadrature of p^k * pdf."""
         m1, _ = quad(lambda p: p * self.pdf(p), self.p01, self.p02,
@@ -171,23 +165,7 @@ class XiLaw:
             return ndtri(u)
         return _SQRT3 * (2.0 * np.asarray(u) - 1.0)
 
-    def sample(self, rng, size=None):
-        return self.from_uniform(rng.uniform(size=size))
-
 
 STANDARD_GAUSSIAN = XiLaw("gaussian")
 UNIFORM_SYM = XiLaw("uniform")
 
-
-def initial_pdf(law: InitialLaw, p):
-    """Density of the initial law at ``p`` (0 outside the support)."""
-    return law.pdf(p)
-
-
-def initial_sample(law: InitialLaw, u):
-    """Inverse-CDF sample from a U(0,1) deviate ``u`` (scalar or array)."""
-    return law.ppf(u)
-
-
-def xi_pdf(law: XiLaw, x):
-    return law.pdf(x)

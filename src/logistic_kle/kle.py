@@ -15,9 +15,10 @@ time-integral of the truncated coefficient.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .distributions import STANDARD_GAUSSIAN, UNIFORM_SYM, XiLaw
 
@@ -104,30 +105,13 @@ def _even_eq(w, c, a):
     return w + c * np.tan(w * a)
 
 
-def _bisect(f, lo, hi, args):
-    flo = f(lo, *args)
-    fhi = f(hi, *args)
-    if not flo * fhi < 0:
-        raise RuntimeError(f"root not bracketed in ({lo}, {hi})")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid, *args)
-        if flo * fm <= 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-        if hi - lo < 1e-12:
-            break
-    return 0.5 * (lo + hi)
-
-
 def expcov_roots(c, a, count):
     """First ``count`` roots of each parity branch, interleaved.
 
     Odd branch: c - w tan(wa) = 0, k-th root in ((k-1)pi/a, (2k-1)pi/(2a));
     even branch: w + c tan(wa) = 0, k-th root in ((2k-1)pi/(2a), k pi/a).
-    Each interval between consecutive tangent poles holds exactly one root;
-    bisection to 1e-12 interval width followed by one Newton polish step.
+    Each interval between consecutive tangent poles holds exactly one root,
+    which Brent's method brackets and solves to 1e-15.
     Returns [('odd', w1), ('even', w1*), ('odd', w2), ...].
     """
     if c <= 0 or a <= 0 or count < 1:
@@ -135,13 +119,10 @@ def expcov_roots(c, a, count):
     eps = 1e-9
     out = []
     for k in range(1, count + 1):
-        w = _bisect(_odd_eq, (k - 1) * np.pi / a + eps,
-                    (2 * k - 1) * np.pi / (2 * a) - eps, (c, a))
-        # d/dw [c - w tan(wa)] = -tan(wa) - w a / cos^2(wa)
-        w -= _odd_eq(w, c, a) / (-np.tan(w * a) - w * a / np.cos(w * a) ** 2)
-        ws = _bisect(_even_eq, (2 * k - 1) * np.pi / (2 * a) + eps,
-                     k * np.pi / a - eps, (c, a))
-        ws -= _even_eq(ws, c, a) / (1.0 + c * a / np.cos(ws * a) ** 2)
+        w = brentq(_odd_eq, (k - 1) * np.pi / a + eps,
+                   (2 * k - 1) * np.pi / (2 * a) - eps, args=(c, a), xtol=1e-15)
+        ws = brentq(_even_eq, (2 * k - 1) * np.pi / (2 * a) + eps,
+                    k * np.pi / a - eps, args=(c, a), xtol=1e-15)
         out.append(("odd", w))
         out.append(("even", ws))
     return out
@@ -222,12 +203,6 @@ class KleProcess:
         """
         self.domain.require(t)
         return 0.0
-
-    def primitive_h(self, j, t):
-        return primitive_h(self, j, t)
-
-    def kn_sigma(self, t, N):
-        return kn_sigma(self, t, N)
 
 
 def primitive_h(process: KleProcess, j, t):

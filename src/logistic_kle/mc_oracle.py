@@ -19,12 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, logit
 
-from .density import Problem, _f1n_tensor_many, f1n_collapsed, k_n
-from .distributions import initial_sample
+from .density import Problem, density_row
 from .kle import kn_sigma
 from .stats import moments_n
 
-__all__ = ["McConfig", "McReport", "sample_pn", "mc_density_check", "k_extremes"]
+__all__ = ["McConfig", "McReport", "mc_density_check", "k_extremes"]
 
 
 @dataclass(frozen=True)
@@ -62,18 +61,6 @@ class McReport:
     mc_var: float
     mc_var_se: float
     density_var: float
-
-
-def sample_pn(problem: Problem, t, rng):
-    """One draw of the order-N solution at time t.
-
-    Draws P0, then the N coordinates, and pushes them through the logistic
-    flow in logit space (expit never overflows, unlike the raw
-    1/(1 + e^{-K}(-1 + 1/P0)) form)."""
-    problem.process.domain.require(t)
-    p0 = initial_sample(problem.initial, rng.uniform())
-    xi = np.array([problem.process.xi_law.sample(rng) for _ in range(problem.N)])
-    return float(expit(logit(p0) + k_n(problem.process, t, xi)))
 
 
 def _sample_block(problem: Problem, t, rng, n):
@@ -131,14 +118,7 @@ def mc_density_check(problem: Problem, t, cfg: McConfig, shards=1):
 
     mids = 0.5 * (edges[:-1] + edges[1:])
     width = edges[1] - edges[0]
-    t0 = problem.process.domain.t0
-    if abs(t - t0) <= 1e-12:
-        dens = problem.initial.pdf(mids)
-    elif problem.process.xi_law.kind == "gaussian":
-        dens = f1n_collapsed(problem, mids, t)
-    else:
-        dens = _f1n_tensor_many(problem, mids, t)
-    pe = np.clip(dens * width, 0.0, 1.0)
+    pe = np.clip(density_row(problem, mids, t) * width, 0.0, 1.0)
 
     n_tot = cfg.samples
     freq = counts / n_tot

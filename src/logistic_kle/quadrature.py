@@ -7,11 +7,9 @@ weights sum to one and no change-of-variables constants leak into callers:
 * ``legendre`` -- Gauss-Legendre rescaled to (-sqrt(3), sqrt(3)); weight =
   the uniform density on that interval (a mean-0, variance-1 law).
 
-Nodes and weights are built from scratch by Newton iteration on the
-three-term recurrence of the orthonormal polynomials, with Christoffel
-weights 1 / sum_k p_k(x_i)^2; this keeps the rules dependency-light and
-bit-reproducible.  ``tensor_iterate`` walks the full tensor grid in
-lexicographic order with a fixed summation order.
+Nodes and weights come from numpy's ``hermegauss`` / ``leggauss``.
+``tensor_nodes_chunks`` walks the full tensor grid in lexicographic order,
+one vectorized block at a time.
 """
 
 from __future__ import annotations
@@ -24,21 +22,13 @@ __all__ = [
     "QuadratureRule",
     "make_rule",
     "rule_for_law",
-    "tensor_iterate",
+    "tensor_nodes_chunks",
+    "check_tensor_size",
     "default_order",
 ]
 
 MAX_ORDER = 128
 TENSOR_GUARD = 10 ** 7
-
-_KIND_ALIASES = {
-    "hermite": "hermite",
-    "gauss_hermite": "hermite",
-    "gaussian": "hermite",
-    "legendre": "legendre",
-    "gauss_legendre": "legendre",
-    "uniform": "legendre",
-}
 
 
 @dataclass(frozen=True)
@@ -53,119 +43,34 @@ class QuadratureRule:
         return float(np.dot(self.weights, f(self.nodes)))
 
 
-def _recurrence_beta(kind, n):
-    """Off-diagonal coefficients beta_1..beta_n of the orthonormal
-    three-term recurrence x p_{k-1} = beta_k p_k + beta_{k-1} p_{k-2}."""
-    k = np.arange(1, n + 1, dtype=float)
-    if kind == "hermite":
-        return np.sqrt(k)
-    # Legendre on (-1,1) against the uniform probability measure dx/2
-    return k / np.sqrt(4.0 * k * k - 1.0)
-
-
-def _poly_and_deriv(x, beta):
-    """Evaluate all orthonormal polynomials p_0..p_n at x, plus p_n'.
-
-    Returns (values[0..n], derivative of the last one).  Recurrence:
-    p_k = (x p_{k-1} - beta_{k-1} p_{k-2}) / beta_k, differentiated in step.
-    """
-    n = len(beta)
-    vals = np.empty(n + 1)
-    vals[0] = 1.0
-    d_prev, d_cur = 0.0, 0.0
-    p_prev, p_cur = 0.0, 1.0
-    for k in range(1, n + 1):
-        b = beta[k - 1]
-        bm = beta[k - 2] if k >= 2 else 0.0
-        p_next = (x * p_cur - bm * p_prev) / b
-        d_next = (p_cur + x * d_cur - bm * d_prev) / b
-        p_prev, p_cur = p_cur, p_next
-        d_prev, d_cur = d_cur, d_next
-        vals[k] = p_cur
-    return vals, d_cur
-
-
-def _newton_root(guess, beta, canon, order, i):
-    xi = guess
-    for _ in range(100):
-        vals, dp = _poly_and_deriv(xi, beta)
-        step = vals[-1] / dp
-        xi -= step
-        if abs(step) <= 1e-15 * max(1.0, abs(xi)):
-            return xi
-    raise RuntimeError(
-        f"Newton iteration failed to converge for {canon} order {order}, node {i}")
-
-
-def _hermite_half_roots(n, beta):
-    """Positive-half roots of the probabilists' Hermite polynomial, largest
-    first.  Each initial guess extrapolates from the already-polished larger
-    roots (the classic gauher ladder, rescaled by sqrt(2) from the
-    physicists' convention), which keeps Newton in the right basin."""
-    m = (n + 1) // 2
-    roots = np.empty(m)
-    for i in range(m):
-        if i == 0:
-            z = np.sqrt(2.0) * (np.sqrt(2.0 * n + 1.0)
-                                - 1.85575 * (2.0 * n + 1.0) ** (-1.0 / 6.0))
-        elif i == 1:
-            z = roots[0] - 2.28 * n ** 0.426 / roots[0]
-        elif i == 2:
-            z = 1.86 * roots[1] - 0.86 * roots[0]
-        elif i == 3:
-            z = 1.91 * roots[2] - 0.91 * roots[1]
-        else:
-            z = 2.0 * roots[i - 1] - roots[i - 2]
-        roots[i] = _newton_root(z, beta, "hermite", n, i)
-    return roots
-
-
 def make_rule(kind, order) -> QuadratureRule:
     """Build a rule of the given kind ('hermite' or 'legendre') and order.
 
     Both rules integrate polynomials up to degree 2*order - 1 exactly against
     their probability measure; weights are positive and sum to 1.
     """
-    canon = _KIND_ALIASES.get(str(kind).lower())
-    if canon is None:
+    gauss = {"hermite": np.polynomial.hermite_e.hermegauss,
+             "legendre": np.polynomial.legendre.leggauss}.get(kind)
+    if gauss is None:
         raise ValueError(f"unknown quadrature kind {kind!r}")
     order = int(order)
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
 
-    if order == 1:
-        return QuadratureRule(canon, 1, np.array([0.0]), np.array([1.0]))
-
-    beta = _recurrence_beta(canon, order)
-    if canon == "hermite":
-        half = _hermite_half_roots(order, beta)      # descending, >= 0
-        if order % 2 == 0:
-            nodes = np.concatenate([-half, half[::-1]])
-        else:
-            half[-1] = 0.0
-            nodes = np.concatenate([-half[:-1], half[::-1]])
-    else:
-        i = np.arange(order, dtype=float)
-        guesses = np.cos(np.pi * (i + 0.75) / (order + 0.5))
-        nodes = np.sort([_newton_root(g, beta, canon, order, k)
-                         for k, g in enumerate(guesses)])
-
-    weights = np.empty(order)
-    for i, xi in enumerate(nodes):
-        vals, _ = _poly_and_deriv(xi, beta)
-        weights[i] = 1.0 / np.dot(vals[:-1], vals[:-1])
+    nodes, weights = gauss(order)
+    weights = weights / weights.sum()
 
     # enforce exact +/- symmetry of the computed rule
     nodes = 0.5 * (nodes - nodes[::-1])
     weights = 0.5 * (weights + weights[::-1])
     if order % 2 == 1:
         nodes[order // 2] = 0.0
-    if canon == "legendre":
+    if kind == "legendre":
         nodes = nodes * np.sqrt(3.0)
 
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return QuadratureRule(canon, order, nodes, weights)
+    return QuadratureRule(kind, order, nodes, weights)
 
 
 def rule_for_law(xi_law, order) -> QuadratureRule:
@@ -198,36 +103,12 @@ def check_tensor_size(order, N):
             f"{order ** N} nodes (limit {TENSOR_GUARD})")
 
 
-def tensor_iterate(rule: QuadratureRule, N, visitor):
-    """Integrate ``visitor`` over the N-fold product of the rule's measure.
-
-    The visitor is called once per tensor node with the length-N node vector
-    and must return the integrand value there; the iterator multiplies by the
-    product weight.  Nodes are visited in lexicographic index order and the
-    sum is accumulated in that fixed order, so the result is bit-reproducible.
-    """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    check_tensor_size(rule.order, N)
-    nodes, weights = rule.nodes, rule.weights
-    total = 0.0
-    vec = np.empty(N)
-    for idx in np.ndindex(*([rule.order] * N)):
-        w = 1.0
-        for d, i in enumerate(idx):
-            vec[d] = nodes[i]
-            w *= weights[i]
-        total += w * visitor(vec)
-    return total
-
-
 def tensor_nodes_chunks(rule: QuadratureRule, N, chunk=65536):
     """Yield (nodes, weights) blocks covering the full tensor grid.
 
     ``nodes`` is (m, N) and ``weights`` (m,); blocks follow lexicographic
-    index order (flat-index decode), so a sequential pass reproduces
-    ``tensor_iterate`` up to floating-point associativity within a block.
-    Used by the density module's vectorized tensor path.
+    index order (flat-index decode).  Used by the density module's
+    vectorized tensor path.
     """
     if N < 1:
         raise ValueError("N must be >= 1")

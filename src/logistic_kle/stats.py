@@ -25,13 +25,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.integrate import simpson
 
-from .density import (Problem, _f1n_tensor_many, f1_exact_wiener,
-                      f1n_collapsed)
+from .density import Problem, density_row, f1_exact_wiener
 
 __all__ = [
     "ErrorReport",
     "moments_n",
-    "raw_moment",
+    "density_moments",
     "e_pdf_exact",
     "e_pdf_consecutive",
     "e_moment_exact",
@@ -61,36 +60,19 @@ class ErrorReport:
             raise ValueError("error measures are nonnegative")
 
 
-def _density_row(problem: Problem, p, t):
-    """f1n on an array of p values, fastest correct path for the model."""
-    if problem.process.xi_law.kind == "gaussian":
-        return f1n_collapsed(problem, p, t)
-    return _f1n_tensor_many(problem, p, t)
-
-
-def _moment_grid(n_points=MOMENT_P_POINTS):
-    return np.linspace(0.001, 0.999, n_points)
-
-
-def moments_n(problem: Problem, t, n_points=MOMENT_P_POINTS):
-    """(mean, variance) of the order-N solution at time t, by composite
-    Simpson over the density on (0.001, 0.999)."""
-    p = _moment_grid(n_points)
-    f = _density_row(problem, p, t)
+def density_moments(density, n_points=MOMENT_P_POINTS):
+    """(mean, variance) of a density, given as a callable p_array -> values,
+    by composite Simpson on (0.001, 0.999)."""
+    p = np.linspace(0.001, 0.999, n_points)
+    f = density(p)
     mean = float(simpson(p * f, x=p))
-    second = float(simpson(p * p * f, x=p))
-    var = max(second - mean * mean, 0.0)
+    var = max(float(simpson(p * p * f, x=p)) - mean * mean, 0.0)
     return mean, var
 
 
-def raw_moment(problem: Problem, t, k, n_points=MOMENT_P_POINTS):
-    """k-th raw moment of P_N at time t (k = 1, 2 are what the error tables
-    use; higher k is provided for completeness)."""
-    if k < 1:
-        raise ValueError("moment order k must be >= 1")
-    p = _moment_grid(n_points)
-    f = _density_row(problem, p, t)
-    return float(simpson(p ** k * f, x=p))
+def moments_n(problem: Problem, t, n_points=MOMENT_P_POINTS):
+    """(mean, variance) of the order-N solution at time t."""
+    return density_moments(lambda p: density_row(problem, p, t), n_points)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +83,7 @@ def _pdf_error(problem: Problem, t, other, n_points):
     """Simpson integral over [0,1] of |other - f1n|, endpoint densities 0."""
     p_full = np.linspace(0.0, 1.0, n_points)
     inner = p_full[1:-1]
-    f_n = _density_row(problem, inner, t)
+    f_n = density_row(problem, inner, t)
     f_ref = other(inner, t)
     diff = np.zeros(n_points)
     diff[1:-1] = np.abs(f_ref - f_n)
@@ -135,7 +117,7 @@ def e_pdf_consecutive(problem: Problem, t, N=None, n_points=ERROR_P_POINTS):
     prob_hi = replace(problem, N=N)
     prob_lo = replace(problem, N=N - 1)
     return _pdf_error(prob_hi, t,
-                      lambda p, tt: _density_row(prob_lo, p, tt), n_points)
+                      lambda p, tt: density_row(prob_lo, p, tt), n_points)
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +159,11 @@ def _exact_moment_curves(problem: Problem, t_grid, n_points=MOMENT_P_POINTS):
     if hit is not None:
         return hit
     T = problem.process.params["T"]
-    p = _moment_grid(n_points)
     means = np.empty(t_grid.size)
     varis = np.empty(t_grid.size)
     for i, t in enumerate(t_grid):
-        f = f1_exact_wiener(problem.initial, p, t, T)
-        means[i] = simpson(p * f, x=p)
-        varis[i] = max(float(simpson(p * p * f, x=p)) - means[i] ** 2, 0.0)
+        means[i], varis[i] = density_moments(
+            lambda p: f1_exact_wiener(problem.initial, p, t, T), n_points)
     _CURVE_CACHE[key] = (means, varis)
     return means, varis
 

@@ -223,3 +223,26 @@ class TestManifest:
     def test_unknown_preset_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             run(["pdf", "--preset", "example9", "--out", tmp_path])
+
+
+class TestBadInput:
+    def test_time_outside_domain_refused_in_one_line(self, tmp_path):
+        for extra in ({"t_grid": {"values": [2.0]}},
+                      {"errors": {"times": [0.5, 1.6]}},
+                      {"mc": {"t": -0.1}}):
+            with pytest.raises(SystemExit) as exc:
+                run(["pdf", "--preset", "example1", "--config",
+                     _cfg(tmp_path, extra), "--out", tmp_path / "o"])
+            msg = str(exc.value.code)
+            assert "outside the model's time domain [0.0, 1.5]" in msg
+            assert "\n" not in msg
+        assert not (tmp_path / "o").exists()
+
+    def test_library_value_error_exits_two(self, tmp_path, capsys):
+        code = run(["pdf", "--preset", "example1", "--config",
+                    _cfg(tmp_path, {"p_grid": {"values": [0.5, 1.5]}}),
+                    "--out", tmp_path / "o"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "logistic-kle pdf: p must lie in (0, 1)\n"
+        assert not (tmp_path / "o" / "run_manifest.json").exists()

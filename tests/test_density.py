@@ -9,10 +9,11 @@ from numpy.testing import assert_allclose
 from scipy.integrate import simpson
 from scipy.special import expit, logit
 
-from logistic_kle import (KleProcess, Problem, density_grid, f1_exact_wiener,
-                          f1n_collapsed, f1n_eval, k_n, make_rule,
+from logistic_kle import (KleProcess, Problem, density_grid, density_row,
+                          f1_exact_wiener, f1n_collapsed, f1n_eval, kn_sigma,
                           primitive_h, rvt_kernel, truncated_beta,
                           truncated_exponential)
+from logistic_kle.density import _f1n_tensor_many
 
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import f1_uniform_exact  # noqa: E402
@@ -69,39 +70,52 @@ class TestRvtKernel:
         assert jac >= 0.0
         if 1e-12 < arg < 1.0 - 1e-12:
             # the map is logit-shift by -K, and the jacobian is the
-            # derivative q(1-q)/(p(1-p)) of that reparametrization
-            assert_allclose(logit(arg), logit(p) - K, atol=1e-8)
-            assert_allclose(jac, arg * (1.0 - arg) / (p * (1.0 - p)),
+            # derivative q(1-q)/(p(1-p)) of that reparametrization.  A double
+            # near 1 keeps only the absolute digits of 1 - arg, so the
+            # references avoid forming 1 - arg: q(1-q) is expit(x) expit(-x),
+            # and for arg > 1/2 the logit shift is checked on the mirrored
+            # point rvt_kernel(1 - p, -K), which maps to 1 - arg
+            x = logit(p) - K
+            if arg <= 0.5:
+                assert_allclose(logit(arg), x, atol=1e-8)
+            else:
+                mirror, _ = rvt_kernel(1.0 - p, -K)
+                assert_allclose(logit(mirror), -x, atol=1e-8)
+            assert_allclose(jac, expit(x) * expit(-x) / (p * (1.0 - p)),
                             rtol=1e-9)
 
 
 class TestKn:
-    def test_zero_at_time_origin(self, wiener_problem):
-        proc = wiener_problem.process
-        assert k_n(proc, 0.0, np.array([1.0, -2.0])) == 0.0
+    """K_N(t) = m(t) + h(t) . xi with h = Problem.h_vector(t)."""
 
-    def test_linear_in_xi(self, wiener_problem):
-        proc = wiener_problem.process
-        xi = np.array([0.7, -0.3])
-        assert_allclose(k_n(proc, 1.0, 2.0 * xi), 2.0 * k_n(proc, 1.0, xi),
+    def test_zero_at_time_origin(self, wiener_problem):
+        assert np.all(wiener_problem.h_vector(0.0) == 0.0)
+        assert kn_sigma(wiener_problem.process, 0.0, 2) == (0.0, 0.0)
+
+    def test_sigma_is_norm_of_h_vector(self, wiener_problem):
+        _, sigma = kn_sigma(wiener_problem.process, 1.0, wiener_problem.N)
+        assert_allclose(sigma, np.linalg.norm(wiener_problem.h_vector(1.0)),
                         rtol=1e-14)
 
     def test_single_mode_recovers_primitive(self):
-        proc = KleProcess.wiener(1.5)
-        assert_allclose(k_n(proc, 1.5, np.array([1.0])),
-                        primitive_h(proc, 1, 1.5), rtol=1e-14)
+        prob = Problem(KleProcess.wiener(1.5), truncated_beta(7.0, 10.0), 1)
+        h1 = primitive_h(prob.process, 1, 1.5)
+        assert_allclose(prob.h_vector(1.5), [h1], rtol=1e-14)
+        assert_allclose(kn_sigma(prob.process, 1.5, 1)[1], abs(h1), rtol=1e-14)
 
     def test_domain_enforced(self):
-        proc = KleProcess.wiener(1.5)
+        prob = Problem(KleProcess.wiener(1.5), truncated_beta(7.0, 10.0), 1)
         with pytest.raises(ValueError):
-            k_n(proc, 5.0, np.array([1.0]))
+            prob.h_vector(5.0)
 
 
 class TestPointEvaluation:
-    def test_initial_time_returns_initial_pdf(self, wiener_problem):
-        law = wiener_problem.initial
-        for p in (0.15, 0.4, 0.85):
-            assert f1n_eval(wiener_problem, p, 0.0) == law.pdf(p)
+    def test_initial_time_returns_initial_pdf(self, wiener_problem,
+                                              expcov_problem):
+        for prob in (wiener_problem, expcov_problem):
+            p = np.array([0.15, 0.4, 0.85])
+            t0 = prob.process.domain.t0
+            assert np.array_equal(density_row(prob, p, t0), prob.initial.pdf(p))
 
     def test_outside_image_support_is_zero(self, wiener_problem):
         # at small t the density support is barely wider than [p01, p02]
@@ -131,23 +145,6 @@ class TestCollapsed:
         p = np.linspace(0.12, 0.88, 9)
         assert_allclose(f1n_collapsed(bridge_problem, p, 0.0),
                         bridge_problem.initial.pdf(p), atol=0.0)
-
-    def test_explicit_rule_approximates_default_engine(self, wiener_problem):
-        prob = Problem(wiener_problem.process, wiener_problem.initial, 1,
-                       quad_orders=60)
-        rule = make_rule("hermite", 60)
-        p = np.linspace(0.1, 0.9, 17)
-        a = f1n_collapsed(prob, p, 0.75, rule=rule)
-        b = f1n_collapsed(prob, p, 0.75)
-        # the plain Gauss-Hermite sum sees the hard support edges of the
-        # initial law as discontinuities, so it only gets ~1e-4 close; the
-        # panel engine splits at those edges and is the converged value
-        assert_allclose(a, b, atol=2e-3)
-
-    def test_legendre_rule_rejected(self, wiener_problem):
-        with pytest.raises(ValueError):
-            f1n_collapsed(wiener_problem, 0.5, 0.75,
-                          rule=make_rule("legendre", 20))
 
     def test_uniform_coordinates_rejected(self, expcov_problem):
         with pytest.raises(ValueError):
@@ -209,10 +206,15 @@ class TestDensityGrid:
         with pytest.raises(ValueError):
             density_grid(wiener_problem, t_grid=np.array([0.5, 2.5]))
 
-    def test_exact_path_only_for_wiener(self, expcov_problem):
+    def test_density_row_picks_path_by_coordinate_law(self, wiener_problem,
+                                                      expcov_problem):
+        p = np.array([0.3, 0.45, 0.6])
+        assert np.array_equal(density_row(wiener_problem, p, 0.75),
+                              f1n_collapsed(wiener_problem, p, 0.75))
+        assert np.array_equal(density_row(expcov_problem, p, 0.25),
+                              _f1n_tensor_many(expcov_problem, p, 0.25))
         with pytest.raises(ValueError):
-            density_grid(expcov_problem, p_grid=np.array([0.5]),
-                         t_grid=np.array([0.25]), path="exact")
+            density_row(wiener_problem, np.array([0.5, 1.0]), 0.0)
 
     def test_single_point_grid_matches_point_eval(self, expcov_problem):
         grid = density_grid(expcov_problem, p_grid=np.array([0.45]),

@@ -3,9 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from logistic_kle import (STANDARD_GAUSSIAN, UNIFORM_SYM, initial_pdf,
-                          initial_sample, truncated_beta,
-                          truncated_exponential, xi_pdf)
+from logistic_kle import (STANDARD_GAUSSIAN, UNIFORM_SYM, truncated_beta,
+                          truncated_exponential)
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +52,9 @@ class TestInitialLaw:
         u = np.linspace(0.02, 0.98, 25)
         for law in (beta710, exp10):
             assert_allclose(law.cdf(law.ppf(u)), u, atol=1e-10)
+            x = law.ppf(0.5)
+            assert isinstance(x, float)
+            assert_allclose(law.cdf(x), 0.5, atol=1e-9)
 
     def test_ppf_monotone(self, exp10):
         u = np.linspace(0.01, 0.99, 50)
@@ -60,7 +62,7 @@ class TestInitialLaw:
 
     def test_sampling_within_support(self, beta710):
         rng = np.random.default_rng(0)
-        x = beta710.sample(rng, size=1000)
+        x = beta710.ppf(rng.uniform(size=1000))
         assert np.all((x >= beta710.p01) & (x <= beta710.p02))
 
     def test_moments_against_simpson(self, beta710):
@@ -70,14 +72,6 @@ class TestInitialLaw:
         mean, var = beta710.moments()
         assert_allclose(mean, simpson(p * f, x=p), atol=1e-9)
         assert_allclose(var, simpson(p * p * f, x=p) - mean ** 2, atol=1e-9)
-
-    def test_free_function_wrappers(self, beta710):
-        assert initial_pdf(beta710, 0.4) == beta710.pdf(0.4)
-        # scalar path goes through the adaptive-quadrature CDF
-        x = initial_sample(beta710, 0.5)
-        assert_allclose(beta710.cdf(x), 0.5, atol=1e-9)
-        assert_allclose(initial_sample(beta710, np.array([0.3, 0.7])),
-                        beta710.ppf(np.array([0.3, 0.7])), atol=1e-11)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -109,17 +103,12 @@ class TestXiLaw:
 
     def test_uniform_support_bound(self):
         rng = np.random.default_rng(3)
-        x = UNIFORM_SYM.sample(rng, size=10000)
+        x = UNIFORM_SYM.from_uniform(rng.uniform(size=10000))
         assert np.all(np.abs(x) <= np.sqrt(3))
         assert_allclose(np.var(x), 1.0, atol=0.05)
 
     def test_gaussian_sample_moments(self):
         rng = np.random.default_rng(4)
-        x = STANDARD_GAUSSIAN.sample(rng, size=200_000)
+        x = STANDARD_GAUSSIAN.from_uniform(rng.uniform(size=200_000))
         assert_allclose(np.mean(x), 0.0, atol=0.01)
         assert_allclose(np.var(x), 1.0, atol=0.02)
-
-    def test_xi_pdf_wrapper(self):
-        assert xi_pdf(UNIFORM_SYM, 2.0) == 0.0
-        assert_allclose(xi_pdf(STANDARD_GAUSSIAN, 0.0),
-                        1.0 / np.sqrt(2 * np.pi), rtol=1e-14)

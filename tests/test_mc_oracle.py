@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 from scipy.special import expit, logit
 
 from logistic_kle import (KleProcess, McConfig, Problem, k_extremes,
-                          mc_density_check, sample_pn, truncated_beta,
+                          mc_density_check, truncated_beta,
                           truncated_exponential)
 from logistic_kle.mc_oracle import _sample_block
 
@@ -40,9 +40,11 @@ class TestSampling:
     def test_scalar_draws_stay_in_support(self, wiener_problem):
         rng = np.random.default_rng(7)
         law = wiener_problem.initial
-        draws = [sample_pn(wiener_problem, 0.0, rng) for _ in range(20)]
+        draws = [_sample_block(wiener_problem, 0.0, rng, 1)[0]
+                 for _ in range(20)]
         assert all(law.p01 <= d <= law.p02 for d in draws)
-        draws = [sample_pn(wiener_problem, 1.0, rng) for _ in range(20)]
+        draws = [_sample_block(wiener_problem, 1.0, rng, 1)[0]
+                 for _ in range(20)]
         assert all(0.0 < d < 1.0 for d in draws)
 
     def test_block_matches_scalar_stream(self, bridge_problem):

@@ -5,9 +5,8 @@ from numpy.testing import assert_allclose
 from logistic_kle import (ErrorReport, KleProcess, Problem,
                           e_moment_consecutive, e_moment_exact,
                           e_pdf_consecutive, e_pdf_exact, f1_exact_wiener,
-                          moments_n, raw_moment, truncated_beta,
+                          density_row, moments_n, truncated_beta,
                           truncated_exponential)
-from logistic_kle.density import _f1n_tensor_many  # noqa: used via oracle row
 
 
 @pytest.fixture(scope="module")
@@ -46,17 +45,6 @@ class TestMoments:
             assert 0.0 < mean < 1.0
             assert var > 0.0
 
-    def test_raw_moment_consistency(self, wiener_problem):
-        mean, var = moments_n(wiener_problem, 0.75)
-        m1 = raw_moment(wiener_problem, 0.75, 1)
-        m2 = raw_moment(wiener_problem, 0.75, 2)
-        assert_allclose(m1, mean, rtol=1e-12)
-        assert_allclose(m2 - m1 ** 2, var, rtol=1e-10)
-
-    def test_raw_moment_validates_order(self, wiener_problem):
-        with pytest.raises(ValueError):
-            raw_moment(wiener_problem, 0.5, 0)
-
 
 class TestPdfErrors:
     def test_exact_reference_self_distance_vanishes(self, wiener_problem):
@@ -91,11 +79,10 @@ class TestPdfErrors:
 
     def test_explicit_exact_callable_for_other_models(self, bridge_problem):
         # any callable reference is accepted, e.g. a higher-order curve
-        from logistic_kle.stats import _density_row
         import dataclasses
         rich = dataclasses.replace(bridge_problem, N=6)
         val = e_pdf_exact(bridge_problem, 0.25,
-                          exact=lambda p, t: _density_row(rich, p, t))
+                          exact=lambda p, t: density_row(rich, p, t))
         # distance to N=6 should be close to the N=2 vs exact scale
         assert 0.0 < val < 0.02
 
