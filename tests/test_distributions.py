@@ -52,9 +52,6 @@ class TestInitialLaw:
         u = np.linspace(0.02, 0.98, 25)
         for law in (beta710, exp10):
             assert_allclose(law.cdf(law.ppf(u)), u, atol=1e-10)
-            x = law.ppf(0.5)
-            assert isinstance(x, float)
-            assert_allclose(law.cdf(x), 0.5, atol=1e-9)
 
     def test_ppf_monotone(self, exp10):
         u = np.linspace(0.01, 0.99, 50)
@@ -72,6 +69,16 @@ class TestInitialLaw:
         mean, var = beta710.moments()
         assert_allclose(mean, simpson(p * f, x=p), atol=1e-9)
         assert_allclose(var, simpson(p * p * f, x=p) - mean ** 2, atol=1e-9)
+
+    def test_free_function_wrappers(self, beta710):
+        # scalar calls of pdf/ppf agree with the array paths
+        assert beta710.pdf(0.4) == beta710.pdf(np.array([0.4]))[0]
+        # scalar path goes through the adaptive-quadrature CDF
+        x = beta710.ppf(0.5)
+        assert isinstance(x, float)
+        assert_allclose(beta710.cdf(x), 0.5, atol=1e-9)
+        assert_allclose([beta710.ppf(0.3), beta710.ppf(0.7)],
+                        beta710.ppf(np.array([0.3, 0.7])), atol=1e-9)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
