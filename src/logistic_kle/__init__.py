@@ -3,8 +3,9 @@
 The growth coefficient is replaced by a truncated Karhunen-Loeve expansion,
 which makes the solution a known transformation of finitely many random
 coordinates; the first probability density of the solution then follows from
-the change-of-variables formula and Gaussian quadrature (or, for Gaussian
-coordinates, an exact one-dimensional reduction).
+the change-of-variables formula as a one-dimensional integral against the
+law of the integrated field (a normal law for Gaussian coordinates, a box
+spline for uniform ones).
 """
 
 from .distributions import (InitialLaw, XiLaw, STANDARD_GAUSSIAN, UNIFORM_SYM,

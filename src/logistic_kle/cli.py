@@ -13,7 +13,8 @@ a named ``--preset`` (example1/example2/example3), a ``--config`` file, then
 individual flags.  Every run writes ``run_manifest.json`` holding the fully
 resolved configuration and sha256 checksums of the artifacts; passing that
 manifest back via ``--config`` reproduces the run byte for byte (outputs
-carry no timestamps, and all compute paths are deterministic).
+carry no timestamps, and all compute paths are deterministic); keys it no
+longer reads, such as an old manifest's ``threads``, are ignored.
 
 Presets: example1 = Wiener model on [0, 1.5] with a truncated Beta(7, 10)
 initial law; example2 = Brownian bridge on [0, 1] with truncated
@@ -28,7 +29,6 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +53,6 @@ DEFAULTS = {
     "initial": {"kind": "beta", "alpha": 7.0, "beta": 10.0,
                 "p01": 0.1, "p02": 0.9},
     "N": [1, 2, 3],
-    "quad_order": None,
     "p_grid": {"start": 0.005, "stop": 0.995, "num": 201},
     "t_grid": {"values": [0.5, 0.75, 1.0, 1.5]},
     "spectrum_count": 10,
@@ -61,7 +60,6 @@ DEFAULTS = {
     "mc": {"t": None, "samples": 1000000, "bins": 100},
     "seed": 42,
     "out": "out",
-    "threads": 1,
 }
 
 PRESETS = {
@@ -124,15 +122,10 @@ def resolve_config(args) -> dict:
         cfg = _deep_update(cfg, _load_config_file(args.config))
     if args.N:
         cfg["N"] = [int(x) for x in args.N.split(",")]
-    if args.quad_order:
-        orders = [int(x) for x in args.quad_order.split(",")]
-        cfg["quad_order"] = orders[0] if len(orders) == 1 else orders
     if args.out:
         cfg["out"] = args.out
     if args.seed is not None:
         cfg["seed"] = int(args.seed)
-    if args.threads is not None:
-        cfg["threads"] = int(args.threads)
     _validate(cfg)
     return cfg
 
@@ -148,8 +141,6 @@ def _validate(cfg):
         raise SystemExit("N list must contain positive integers")
     if cfg["errors"]["kind"] not in _ERROR_KINDS:
         raise SystemExit(f"error kind must be one of {', '.join(_ERROR_KINDS)}")
-    if cfg["threads"] < 1:
-        raise SystemExit("threads must be >= 1")
     domain = _build_process(proc).domain
     times = [("t_grid", t) for t in _grid_values(cfg["t_grid"], None)]
     times += [("errors.times", t) for t in cfg["errors"]["times"] or []]
@@ -179,18 +170,9 @@ def _build_initial(ini_cfg):
                                  ini_cfg.get("p01", 0.1), ini_cfg.get("p02", 0.9))
 
 
-def _order_for(cfg, idx):
-    q = cfg["quad_order"]
-    if q is None:
-        return None
-    if isinstance(q, list):
-        return int(q[idx]) if idx < len(q) else int(q[-1])
-    return int(q)
-
-
-def _problem(cfg, N, idx=0) -> Problem:
+def _problem(cfg, N) -> Problem:
     return Problem(_build_process(cfg["process"]), _build_initial(cfg["initial"]),
-                   int(N), _order_for(cfg, idx))
+                   int(N))
 
 
 def _grid_values(spec, default):
@@ -199,13 +181,6 @@ def _grid_values(spec, default):
     if "values" in spec and spec["values"] is not None:
         return np.asarray(spec["values"], dtype=float)
     return np.linspace(spec["start"], spec["stop"], int(spec["num"]))
-
-
-def _map_ordered(fn, items, threads):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +249,10 @@ def cmd_pdf(cfg, outdir: Path):
     p_grid = _grid_values(cfg["p_grid"], DEFAULT_P_GRID)
     t_grid = _grid_values(cfg["t_grid"], None)
     artifacts = []
-    for idx, N in enumerate(cfg["N"]):
-        problem = _problem(cfg, N, idx)
-        rows_per_t = _map_ordered(
-            lambda t, pr=problem: density_row(pr, p_grid, t),
-            list(t_grid), cfg["threads"])
-        rows = [(t, p, v) for t, vals in zip(t_grid, rows_per_t)
-                for p, v in zip(p_grid, vals)]
+    for N in cfg["N"]:
+        problem = _problem(cfg, N)
+        rows = [(t, p, v) for t in t_grid
+                for p, v in zip(p_grid, density_row(problem, p_grid, t))]
         name = f"pdf_N{int(N)}.csv"
         _write_csv(outdir / name, ["t", "p", "f1n"], rows)
         artifacts.append(name)
@@ -301,12 +273,11 @@ def cmd_moments(cfg, outdir: Path):
     header = ["t", "N", "mean", "variance"] + (
         ["exact_mean", "exact_variance"] if exact else [])
 
-    problems = [_problem(cfg, N, i) for i, N in enumerate(cfg["N"])]
+    problems = [_problem(cfg, N) for N in cfg["N"]]
     T = cfg["process"].get("T", 1.5)
     rows = []
     for t in t_grid:
-        pairs = _map_ordered(lambda pr, tt=t: moments_n(pr, tt), problems,
-                             cfg["threads"])
+        pairs = [moments_n(pr, t) for pr in problems]
         if exact:
             em, ev = density_moments(
                 lambda p: f1_exact_wiener(problems[0].initial, p, t, T))
@@ -337,8 +308,8 @@ def cmd_errors(cfg, outdir: Path):
         t_grid = _grid_values({"values": times} if times else cfg["t_grid"], None)
         for t in t_grid:
             reports = []
-            for i, N in enumerate(n_list):
-                problem = _problem(cfg, N, i)
+            for N in n_list:
+                problem = _problem(cfg, N)
                 if consecutive:
                     value = e_pdf_consecutive(problem, t, N)
                 else:
@@ -349,8 +320,8 @@ def cmd_errors(cfg, outdir: Path):
     else:
         mkind = "mean" if kind.startswith("mean") else "variance"
         reports = []
-        for i, N in enumerate(n_list):
-            problem = _problem(cfg, N, i)
+        for N in n_list:
+            problem = _problem(cfg, N)
             if consecutive:
                 value = e_moment_consecutive(problem, mkind, N)
             else:
@@ -410,13 +381,8 @@ def _parser():
                                      "from a previous run also works)")
     ap.add_argument("--preset", help="example1 | example2 | example3")
     ap.add_argument("--N", help="comma-separated truncation orders, e.g. 1,2,3")
-    ap.add_argument("--quad-order", dest="quad_order",
-                    help="per-dimension tensor quadrature order override "
-                         "(single value or one per N)")
     ap.add_argument("--out", help="output directory (default: out)")
     ap.add_argument("--seed", type=int, help="RNG seed for mc-check")
-    ap.add_argument("--threads", type=int,
-                    help="worker threads for grid evaluation (default 1)")
     return ap
 
 

@@ -4,26 +4,19 @@ The solution of P' = A(t)(1-P)P with P(t0) = P0 satisfies
 
     logit(P_t) = logit(P0) + K_N(t, xi),      K_N = m(t) + sum_j H_j(t) xi_j
 
-once A is replaced by its N-term KLE.  Transforming P0 -> P_t pointwise gives
-the density of P_t at p as an N-dimensional integral over the coordinate law:
+once A is replaced by its N-term KLE, so the density of P_t is a 1-D
+convolution of the initial logit-density with the law of K_N(t) (``k_law``):
+N(m, sigma_N^2) for Gaussian coordinates (``NormalLaw``) and, for uniform
+ones, the box spline of sum_j U(-c_j, c_j) with c_j = sqrt(3)|H_j(t)|
+(``BoxSplineLaw``).  ``f1n_collapsed`` evaluates it with Gauss-Legendre
+panels split at the law's breaks, to machine precision; ``density_row`` is
+that call plus the t0 shortcut, and ``f1_exact_wiener`` is the same integral
+against the non-truncated Wiener law N(0, t^3/3).
 
-    f1n(p, t) = int f_P0(arg(p, K)) * jac(p, K) f_xi(xi) dxi,
-
-with arg/jac the stable closed forms in ``rvt_kernel``.  Three evaluation
-paths are provided:
-
-* ``f1n_eval``      -- tensor-product Gaussian quadrature in N dimensions
-                       (works for every coordinate law; the literal formula);
-* ``f1n_collapsed`` -- Gaussian coordinates only: K_N(t) is exactly
-                       N(m(t), sigma_N(t)^2), so the N-D integral collapses to
-                       one dimension;
-* ``f1_exact_wiener`` -- the non-truncated reference for the Wiener model,
-                       where the time-integral is N(0, t^3/3) exactly.
-
-The collapsed/exact paths evaluate a convolution in logit space (panelled
-Gauss-Legendre over the initial support) that resolves the integrand's
-support kinks and is accurate to machine precision.  ``density_row`` is the
-one place that picks the path of an order-N density row.
+``f1n_eval`` integrates the literal N-dimensional formula
+f1n = int f_P0(arg(p, K)) jac(p, K) f_xi(xi) dxi (``rvt_kernel``) by tensor
+Gauss quadrature.  No row goes through it: it is the tests' independent
+reference for the 1-D engine.
 """
 
 from __future__ import annotations
@@ -32,6 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy.special import expit, logit
 
 from .distributions import InitialLaw
@@ -42,6 +36,9 @@ from .quadrature import (QuadratureRule, default_order, rule_for_law,
 __all__ = [
     "Problem",
     "DensityGrid",
+    "NormalLaw",
+    "BoxSplineLaw",
+    "k_law",
     "rvt_kernel",
     "f1n_eval",
     "f1n_collapsed",
@@ -53,22 +50,25 @@ __all__ = [
 
 DEFAULT_P_GRID = np.linspace(0.005, 0.995, 201)
 
+# A box spline of N widths has up to 2^N pieces, one Gauss panel each: at
+# N = 10 a 2001-point density row takes about 6 s.
+MAX_BOX_N = 10
+
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 _T0_TOL = 1e-12
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
 
 
 @dataclass(frozen=True)
 class Problem:
     """A truncated random logistic IVP: process model + initial law + order.
 
-    ``quad_orders`` is the per-dimension quadrature order of the tensor path;
-    ``None`` picks the dimension-dependent default.
+    ``rule`` is the Gauss rule of the tensor reference ``f1n_eval``.
     """
 
     process: KleProcess
     initial: InitialLaw
     N: int
-    quad_orders: int | None = None
 
     def __post_init__(self):
         if self.N < 1:
@@ -76,8 +76,7 @@ class Problem:
 
     @cached_property
     def rule(self) -> QuadratureRule:
-        order = self.quad_orders if self.quad_orders else default_order(self.N)
-        return rule_for_law(self.process.xi_law, order)
+        return rule_for_law(self.process.xi_law, default_order(self.N))
 
     def h_vector(self, t):
         return np.array([primitive_h(self.process, j, t)
@@ -140,7 +139,7 @@ def _p_array(p):
 
 
 # ---------------------------------------------------------------------------
-# tensor path
+# tensor reference
 
 
 def _f1n_tensor_many(problem: Problem, p, t):
@@ -169,52 +168,132 @@ def f1n_eval(problem: Problem, p, t):
 
 
 # ---------------------------------------------------------------------------
-# collapsed 1-D paths (Gaussian K)
+# the law of K_N(t) and the 1-D engine
 
 
-def _gauss_logit_convolution(p, mean, sigma, law: InitialLaw,
-                             nsig=10.0, panel_sig=3.0):
-    """Density of P with logit(P) = logit(P0) + K, K ~ N(mean, sigma^2).
+@dataclass(frozen=True)
+class NormalLaw:
+    """K ~ N(mean, sigma^2), broken into seven panels over +/- 10 sigma."""
 
-    In u = logit(q) the integral is a convolution of the initial logit-density
-    with the normal kernel:
+    mean: float
+    sigma: float
 
-        f(p) = 1/(p(1-p)) * int f0(q) q(1-q) phi((v - mean - u)/sigma)/sigma du,
+    def pdf(self, k):
+        z = (k - self.mean) / self.sigma
+        return np.exp(-0.5 * z * z) / (self.sigma * _SQRT2PI)
 
-    v = logit(p), over u in [logit(p01), logit(p02)] intersected with the
-    +/- nsig*sigma kernel window.  Each (per-p) window is split into
-    ceil(2 nsig / panel_sig) equal panels with 24-point Gauss-Legendre, which
-    resolves the kernel to machine precision; the initial-support endpoints
-    are window endpoints, so the kink there is never straddled.
+    def breaks(self):
+        return self.mean + self.sigma * np.linspace(-10.0, 10.0, 8)
+
+
+@dataclass(frozen=True, eq=False)
+class BoxSplineLaw:
+    """K = mean + sum_j U(-c_j, c_j), a box spline (de Boor, Hoellig &
+    Riemenschneider, *Box Splines*, 1993).  ``coefs[i]`` holds, lowest
+    degree first, its polynomial on [knots[i], knots[i+1]] in k - knots[i].
+    With no nonzero width it is the point mass at ``mean``: one empty piece."""
+
+    knots: np.ndarray
+    coefs: np.ndarray
+
+    @classmethod
+    def from_widths(cls, c, mean=0.0):
+        """Convolve one box at a time, narrowest first.  No piece is then
+        longer than the next box, so each step adds whole nonnegative piece
+        masses and stays within a few ulps of the peak, where the closed
+        inclusion-exclusion sum over the 2^N corners cancels (1e-2 of the
+        peak for the exponential-covariance model at N = 7, t = 0.49)."""
+        c = np.sort(np.abs(np.asarray(c, dtype=float)))
+        if c.size > MAX_BOX_N:
+            raise ValueError(f"box-spline law of {c.size} widths refused: "
+                             f"at most {MAX_BOX_N} are supported")
+        c = c[c > 0.0]
+        if c.size == 0:
+            return cls(np.full(2, float(mean)), np.zeros((1, 1)))
+        knots, coefs = np.array([-c[0], c[0]]), np.array([[0.5 / c[0]]])
+        for cj in c[1:]:
+            knots, coefs = _convolve_box(knots, coefs, cj)
+        return cls(knots + mean, coefs)
+
+    def pdf(self, k):
+        i = np.searchsorted(self.knots, k, side="right") - 1
+        inside = (i >= 0) & (i < len(self.coefs))
+        i = np.where(inside, i, 0)
+        val = polyval(k - self.knots[i], np.moveaxis(self.coefs[i], -1, 0),
+                      tensor=False)
+        return np.where(inside, val, 0.0)
+
+    def breaks(self):
+        return self.knots
+
+
+def _taylor_shift(a, delta):
+    """Rows of coefficients (lowest degree first) of a_r(s + delta_r)."""
+    b = a.copy()
+    for i in range(b.shape[1] - 1):
+        for j in range(b.shape[1] - 2, i - 1, -1):
+            b[:, j] += delta * b[:, j + 1]
+    return b
+
+
+def _convolve_box(knots, coefs, c):
+    """Pieces of h = g * U(-c, c) from those of g.  On a new piece [a, b],
+    2c h(x) is the mass of g's pieces between x - c and x + c plus partial
+    integrals over the two holding x +/- c, found from the new piece's
+    midpoint because a +/- c can round below the old knot it equals."""
+    M, d1 = coefs.shape
+    anti = np.zeros((M, d1 + 1))          # integrals from each left knot
+    anti[:, 1:] = coefs / np.arange(1, d1 + 1)
+    mass = polyval(np.diff(knots), anti.T, tensor=False)
+    cum = np.concatenate([[0.0], np.cumsum(mass)])
+
+    new = np.unique(np.concatenate([knots - c, knots + c]))
+    a, mid = new[:-1], 0.5 * (new[:-1] + new[1:])
+    j = np.searchsorted(knots, mid + c, side="right") - 1
+    k = np.searchsorted(knots, mid - c, side="right") - 1
+    out = np.zeros((a.size, d1 + 1))
+    out[:, 0] = cum[np.clip(j, 0, M)] - cum[np.clip(k + 1, 0, M)]
+    r, l = j < M, k >= 0
+    out[r] += _taylor_shift(anti[j[r]], a[r] + c - knots[j[r]])
+    out[l, 0] += mass[k[l]]
+    out[l] -= _taylor_shift(anti[k[l]], a[l] - c - knots[k[l]])
+    return new, out / (2.0 * c)
+
+
+def k_law(problem: Problem, t):
+    """The law of K_N(t) for the problem's coordinate law."""
+    process = problem.process
+    if process.xi_law.kind == "gaussian":
+        return NormalLaw(*kn_sigma(process, t, problem.N))
+    return BoxSplineLaw.from_widths(np.sqrt(3.0) * np.abs(problem.h_vector(t)),
+                                    process.mean_primitive(t))
+
+
+def _logit_convolution(p, law, initial: InitialLaw):
+    """Density of P with logit(P) = logit(P0) + K, K ~ ``law``:
+
+        f(p) = 1/(p(1-p)) * int f0(q) q(1-q) pdf_K(v - u) du,    v = logit(p),
+
+    over u = logit(q) in [logit(p01), logit(p02)].  The u-interval between
+    two breaks of the law, clipped to that support, is one 24-point
+    Gauss-Legendre panel, so no panel straddles a kink.  The point mass
+    K = 0 (as at t0) leaves the initial density.
     """
     p = _p_array(p)
-    if sigma == 0.0:
-        return law.pdf(p)
-
+    brk = law.breaks()
+    if brk[0] == brk[-1]:
+        return initial.pdf(p)
     v = logit(p)
-    u_lo = np.maximum(logit(law.p01), v - mean - nsig * sigma)
-    u_hi = np.minimum(logit(law.p02), v - mean + nsig * sigma)
-    width = u_hi - u_lo
-    alive = width > 0
-
-    npanels = int(np.ceil(2.0 * nsig / panel_sig))
-    gx, gw = np.polynomial.legendre.leggauss(24)
-    # panel offsets in [0, 1]: npanels panels x 24 nodes, flattened
-    edges = np.linspace(0.0, 1.0, npanels + 1)
-    offs = (edges[:-1, None] + np.diff(edges)[:, None] * (gx[None, :] + 1.0) / 2.0).ravel()
-    wts = (np.diff(edges)[:, None] * gw[None, :] / 2.0).ravel()
-
-    out = np.zeros(p.size)
-    if np.any(alive):
-        lo = u_lo[alive, None]
-        wd = width[alive, None]
-        u = lo + wd * offs[None, :]
+    u_min, u_max = logit(initial.p01), logit(initial.p02)
+    total = np.zeros(p.size)
+    for k_lo, k_hi in zip(brk[:-1], brk[1:]):
+        lo = np.maximum(u_min, v - k_hi)
+        width = np.maximum(np.minimum(u_max, v - k_lo) - lo, 0.0)
+        u = lo[:, None] + width[:, None] * (_GL_X + 1.0) / 2.0
         q = expit(u)
-        z = (v[alive, None] - mean - u) / sigma
-        kern = np.exp(-0.5 * z * z) / (sigma * _SQRT2PI)
-        vals = law.pdf(q) * q * (1.0 - q) * kern
-        out[alive] = (vals @ wts) * wd.ravel()
-    return out / (p * (1.0 - p))
+        vals = initial.pdf(q) * q * (1.0 - q) * law.pdf(v[:, None] - u)
+        total += (vals @ _GL_W) * width / 2.0
+    return total / (p * (1.0 - p))
 
 
 def _scalar_or_row(p, out):
@@ -222,49 +301,33 @@ def _scalar_or_row(p, out):
 
 
 def f1n_collapsed(problem: Problem, p, t):
-    """Density of the order-N solution via the exact 1-D Gaussian reduction.
-
-    Requires Gaussian coordinates: K_N(t) is then N(m(t), sigma_N(t)^2) with
-    sigma_N from the closed-form primitives, and the N-dimensional integral
-    equals a single integral over that law.
-    """
-    if problem.process.xi_law.kind != "gaussian":
-        raise ValueError("collapsed path requires Gaussian KLE coordinates")
-    problem.process.domain.require(t)
-    mean, sigma = kn_sigma(problem.process, t, problem.N)
-    return _scalar_or_row(p, _gauss_logit_convolution(p, mean, sigma,
-                                                      problem.initial))
+    """Density of the order-N solution at (p, t), for every coordinate law:
+    the N-dimensional integral reduced to one integral over the law of
+    K_N(t) (``k_law``)."""
+    return _scalar_or_row(p, _logit_convolution(p, k_law(problem, t),
+                                                 problem.initial))
 
 
 def f1_exact_wiener(initial: InitialLaw, p, t, T=1.5):
     """Non-truncated density for the Wiener growth model.
 
     The full time-integral of the Wiener process is N(0, t^3/3), so the exact
-    density has the same 1-D form as the collapsed path with
+    density has the same 1-D form as ``f1n_collapsed`` with
     sigma = sqrt(t^3/3); at t = 0 it is the initial density by continuity.
     """
     if not 0.0 <= t <= T + _T0_TOL:
         raise ValueError(f"time {t} outside [0, {T}]")
-    sigma = np.sqrt(t ** 3 / 3.0)
-    return _scalar_or_row(p, _gauss_logit_convolution(p, 0.0, sigma, initial))
-
-
-def _path(problem: Problem):
-    return "collapsed" if problem.process.xi_law.kind == "gaussian" else "tensor"
+    law = NormalLaw(0.0, float(np.sqrt(t ** 3 / 3.0)))
+    return _scalar_or_row(p, _logit_convolution(p, law, initial))
 
 
 def density_row(problem: Problem, p, t):
-    """Order-N density f1n at an array of p values and one time t.
-
-    The initial density at t0; otherwise the collapsed 1-D path for Gaussian
-    coordinates and the tensor path for every other coordinate law.
-    """
+    """Order-N density f1n at an array of p values and one time t: the
+    initial density at t0, ``f1n_collapsed`` everywhere else."""
     p = _p_array(p)
     if abs(t - problem.process.domain.t0) <= _T0_TOL:
         return problem.initial.pdf(p)
-    if _path(problem) == "collapsed":
-        return f1n_collapsed(problem, p, t)
-    return _f1n_tensor_many(problem, p, t)
+    return f1n_collapsed(problem, p, t)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +336,7 @@ def density_row(problem: Problem, p, t):
 
 def density_grid(problem: Problem, p_grid=None, t_grid=None):
     """Fill a DensityGrid over sorted p and t grids, one ``density_row`` per
-    time; ``meta["path"]`` names the path those rows take away from t0."""
+    time."""
     p_grid = DEFAULT_P_GRID.copy() if p_grid is None else np.asarray(p_grid, dtype=float)
     if t_grid is None:
         dom = problem.process.domain
@@ -285,12 +348,9 @@ def density_grid(problem: Problem, p_grid=None, t_grid=None):
     values = np.empty((t_grid.size, p_grid.size))
     for i, t in enumerate(t_grid):
         values[i] = density_row(problem, p_grid, t)
-    path = _path(problem)
     meta = {
         "N": problem.N,
-        "quad_order": problem.rule.order if path == "tensor" else None,
         "process": problem.process.kind,
         "initial": problem.initial.kind,
-        "path": path,
     }
     return DensityGrid(p_grid, t_grid, values, meta)

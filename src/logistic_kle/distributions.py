@@ -145,12 +145,6 @@ class XiLaw:
 
     kind: str
 
-    @property
-    def support(self):
-        if self.kind == "gaussian":
-            return (-np.inf, np.inf)
-        return (-_SQRT3, _SQRT3)
-
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         if self.kind == "gaussian":

@@ -1,4 +1,4 @@
-"""Monte-Carlo validation of the quadrature densities.
+"""Monte-Carlo validation of the density rows.
 
 Samples the truncated solution directly -- P0 from the initial law, the KLE
 coordinates from their law, then P_t = expit(logit(P0) + K_N(t, xi)) -- and
@@ -7,9 +7,7 @@ binomial, so each bin carries an exact z-score and no bandwidth or smoothing
 enters the comparison.
 
 Determinism: the PCG64 generator seeded with cfg.seed fully determines every
-draw; per sample the draw order is (P0, xi_1, ..., xi_N).  Optional sharding
-splits the sample range with per-shard seeds (seed XOR shard index), keeping
-counts additive and the merged report independent of shard execution order.
+draw; per sample the draw order is (P0, xi_1, ..., xi_N).
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, logit
 
-from .density import Problem, density_row
+from .density import Problem, density_row, k_law
 from .kle import kn_sigma
 from .stats import moments_n
 
@@ -48,7 +46,6 @@ class McReport:
     samples: int
     bins: int
     seed: int
-    shards: int
     bin_edges: np.ndarray
     counts: np.ndarray
     expected_freq: np.ndarray
@@ -77,27 +74,20 @@ def _sample_block(problem: Problem, t, rng, n):
 
 
 def k_extremes(problem: Problem, t):
-    """Attainable range of K_N(t, xi) with coordinates confined to +/- 6
-    standard deviations.  Uniform coordinates are bounded by sqrt(3), which
-    is the binding constraint there; Gaussian ones use the 6-sigma box."""
+    """Range of K_N(t): the support of its law cut at +/- 6 standard
+    deviations, which binds only for Gaussian coordinates (the box-spline
+    support +/- sqrt(3) sum_j |H_j(t)| lies inside it for N <= 12)."""
     m, sigma = kn_sigma(problem.process, t, problem.N)
-    if problem.process.xi_law.kind == "uniform":
-        h = problem.h_vector(t)
-        half = np.sqrt(3.0) * float(np.sum(np.abs(h)))
-        half = min(half, 6.0 * sigma) if sigma > 0 else half
-    else:
-        half = 6.0 * sigma
-    return m - half, m + half
+    brk = k_law(problem, t).breaks()
+    return max(brk[0], m - 6.0 * sigma), min(brk[-1], m + 6.0 * sigma)
 
 
-def mc_density_check(problem: Problem, t, cfg: McConfig, shards=1):
-    """Histogram comparison of sampled P_N against the quadrature density.
+def mc_density_check(problem: Problem, t, cfg: McConfig):
+    """Histogram comparison of sampled P_N against ``density_row``.
 
     Bins are equal-width on the image of the initial support [p01, p02]
     under the extreme-K flow (so support edges land on the outer bin edges);
     expected bin frequency is midpoint density times bin width."""
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
     problem.process.domain.require(t)
 
     k_lo, k_hi = k_extremes(problem, t)
@@ -105,16 +95,9 @@ def mc_density_check(problem: Problem, t, cfg: McConfig, shards=1):
     hi = float(expit(logit(problem.initial.p02) + k_hi))
     edges = np.linspace(lo, hi, cfg.bins + 1)
 
-    counts = np.zeros(cfg.bins, dtype=np.int64)
-    chunks = []
-    base = cfg.samples // shards
-    for shard in range(shards):
-        n = base + (cfg.samples - base * shards if shard == shards - 1 else 0)
-        rng = np.random.default_rng(int(cfg.seed) ^ shard)
-        x = _sample_block(problem, t, rng, n)
-        counts += np.histogram(x, bins=edges)[0]
-        chunks.append(x)
-    x = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+    x = _sample_block(problem, t, np.random.default_rng(int(cfg.seed)),
+                      cfg.samples)
+    counts = np.histogram(x, bins=edges)[0]
 
     mids = 0.5 * (edges[:-1] + edges[1:])
     width = edges[1] - edges[0]
@@ -137,7 +120,7 @@ def mc_density_check(problem: Problem, t, cfg: McConfig, shards=1):
 
     return McReport(
         t=float(t), N=problem.N, samples=cfg.samples, bins=cfg.bins,
-        seed=int(cfg.seed), shards=int(shards),
+        seed=int(cfg.seed),
         bin_edges=edges, counts=counts, expected_freq=pe, z_scores=z,
         max_abs_z=float(np.max(np.abs(z))), l1_distance=l1,
         mc_mean=mc_mean, mc_mean_se=mc_mean_se, density_mean=d_mean,

@@ -38,10 +38,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
 
-    def integrate(self, f):
-        """Apply the rule to a vectorized callable: sum_i w_i f(x_i)."""
-        return float(np.dot(self.weights, f(self.nodes)))
-
 
 def make_rule(kind, order) -> QuadratureRule:
     """Build a rule of the given kind ('hermite' or 'legendre') and order.
@@ -108,7 +104,7 @@ def tensor_nodes_chunks(rule: QuadratureRule, N, chunk=65536):
 
     ``nodes`` is (m, N) and ``weights`` (m,); blocks follow lexicographic
     index order (flat-index decode).  Used by the density module's
-    vectorized tensor path.
+    tensor reference ``f1n_eval``.
     """
     if N < 1:
         raise ValueError("N must be >= 1")

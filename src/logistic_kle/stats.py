@@ -133,8 +133,7 @@ def _fingerprint(problem: Problem, t_grid, n_points):
         tuple(sorted(problem.process.params.items())),
         problem.process.xi_law.kind,
         ini.kind, ini.params, ini.p01, ini.p02,
-        problem.N, problem.rule.order,
-        n_points, t_grid.tobytes(),
+        problem.N, n_points, t_grid.tobytes(),
     )
 
 

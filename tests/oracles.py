@@ -5,8 +5,10 @@ is to cross-check the tensor-quadrature densities against closed forms built
 a different way.
 """
 
+from itertools import product
 from math import factorial
 
+import mpmath as mp
 import numpy as np
 from scipy.special import expit, logit
 
@@ -33,6 +35,23 @@ def boxspline_pdf(x, c):
         # mask again after the power: for N = 1, pos**0 is 1 even where masked
         total += parity * np.where(arg > 0.0, pos ** (N - 1), 0.0)
     return total / (2.0 ** N * factorial(N - 1) * np.prod(c))
+
+
+def boxspline_pdf_mp(x, c, dps=60):
+    """``boxspline_pdf`` in mpmath at ``dps`` digits, where the alternating
+    corner sum no longer cancels in double precision (N >= 5)."""
+    with mp.workdps(dps):
+        cs = [mp.mpf(float(ci)) for ci in c]
+        den = mp.mpf(2) ** len(cs) * mp.factorial(len(cs) - 1) * mp.fprod(cs)
+        out = []
+        for xi in np.atleast_1d(x):
+            total = mp.mpf(0)
+            for signs in product((1, -1), repeat=len(cs)):
+                arg = mp.mpf(float(xi)) + mp.fsum(s * ci for s, ci in zip(signs, cs))
+                if arg > 0:
+                    total += (-1) ** signs.count(-1) * arg ** (len(cs) - 1)
+            out.append(float(total / den))
+    return np.array(out)
 
 
 def f1_uniform_exact(p, t, process, initial, N, order=40):

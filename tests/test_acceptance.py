@@ -176,7 +176,7 @@ def test_c05_ex3_convergence_and_mc_probes():
                                 f"of {ref:.6f}")
     assert not failures, "\n".join(failures)
 
-    # tensor quadrature path vs the MC oracle at three (p, t) probes
+    # box-spline density vs the MC oracle at three (p, t) probes
     for t, p in ((-0.25, 0.45), (0.0, 0.5), (0.25, 0.55)):
         rep = mc_density_check(ex3(2), t,
                                McConfig(seed=1234, samples=10 ** 6, bins=100))

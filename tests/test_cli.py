@@ -79,20 +79,6 @@ class TestPdf:
         assert (tmp_path / "o" / "pdf_N1.csv").exists()
         assert not (tmp_path / "o" / "pdf_exact.csv").exists()
 
-    def test_threads_give_identical_output(self, tmp_path):
-        cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({
-            "N": [2],
-            "p_grid": {"start": 0.1, "stop": 0.9, "num": 33},
-            "t_grid": {"values": [0.3, 0.6, 0.9]},
-        }))
-        run(["pdf", "--preset", "example1", "--config", cfgfile,
-             "--out", tmp_path / "a"])
-        run(["pdf", "--preset", "example1", "--config", cfgfile,
-             "--out", tmp_path / "b", "--threads", "4"])
-        assert (tmp_path / "a" / "pdf_N2.csv").read_bytes() == \
-            (tmp_path / "b" / "pdf_N2.csv").read_bytes()
-
 
 class TestMoments:
     def test_bridge_moments(self, tmp_path):
@@ -184,9 +170,9 @@ class TestMcCheck:
     def test_failing_run_exits_nonzero(self, tmp_path, monkeypatch):
         real = cli.mc_density_check
 
-        def inflated(problem, t, cfg, shards=1):
+        def inflated(problem, t, cfg):
             import dataclasses
-            rep = real(problem, t, cfg, shards)
+            rep = real(problem, t, cfg)
             return dataclasses.replace(rep, max_abs_z=7.3)
 
         monkeypatch.setattr(cli, "mc_density_check", inflated)
@@ -220,6 +206,16 @@ class TestManifest:
         for name in ("pdf_N1.csv", "pdf_exact.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+        # manifests of earlier versions carry the retired tensor-order and
+        # thread-count keys; they still reproduce the run
+        old = dict(manifest, config=dict(manifest["config"],
+                                         quad_order=None, threads=1))
+        (tmp_path / "old.json").write_text(json.dumps(old))
+        assert run(["pdf", "--config", tmp_path / "old.json",
+                    "--out", tmp_path / "c"]) == 0
+        for name in ("pdf_N1.csv", "pdf_exact.csv"):
+            assert (a / name).read_bytes() == (tmp_path / "c" / name).read_bytes()
+
     def test_unknown_preset_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             run(["pdf", "--preset", "example9", "--out", tmp_path])
@@ -246,3 +242,11 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err == "logistic-kle pdf: p must lie in (0, 1)\n"
         assert not (tmp_path / "o" / "run_manifest.json").exists()
+
+        # a box-spline law of more widths than the guard allows
+        code = run(["pdf", "--preset", "example3", "--N", "11",
+                    "--out", tmp_path / "o"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "logistic-kle pdf: box-spline law of 11 widths refused: "
+            "at most 10 are supported\n")

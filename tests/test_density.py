@@ -13,10 +13,14 @@ from logistic_kle import (KleProcess, Problem, density_grid, density_row,
                           f1_exact_wiener, f1n_collapsed, f1n_eval, kn_sigma,
                           primitive_h, rvt_kernel, truncated_beta,
                           truncated_exponential)
-from logistic_kle.density import _f1n_tensor_many
+from logistic_kle.density import (MAX_BOX_N, BoxSplineLaw, NormalLaw,
+                                  _f1n_tensor_many, k_law)
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import f1_uniform_exact  # noqa: E402
+from oracles import (boxspline_pdf, boxspline_pdf_mp,  # noqa: E402
+                     f1_uniform_exact)
+
+EX3_TIMES = (-0.49, -0.25, 0.0, 0.25, 0.49)
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +143,54 @@ class TestPointEvaluation:
                                 f1n_collapsed(wiener_problem, p, t),
                                 atol=1e-6)
 
+    def test_tensor_matches_collapsed_for_uniform(self, expcov_problem):
+        # the tensor rule misses the box-spline kinks by up to ~1.1e-3
+        p = np.linspace(0.05, 0.95, 91)
+        for N in (1, 2, 3):
+            prob = Problem(expcov_problem.process, expcov_problem.initial, N)
+            for t in EX3_TIMES:
+                assert_allclose(_f1n_tensor_many(prob, p, t),
+                                f1n_collapsed(prob, p, t), atol=2e-3,
+                                err_msg=f"N={N} t={t}")
+
+
+class TestBoxSplineLaw:
+    def test_matches_closed_form(self):
+        rng = np.random.default_rng(3)
+        for N in (1, 2, 3, 4):
+            c = rng.uniform(0.05, 1.0, N)
+            x = np.linspace(-1.1 * c.sum(), 1.1 * c.sum(), 801)
+            assert_allclose(BoxSplineLaw.from_widths(c).pdf(x),
+                            boxspline_pdf(x, c), rtol=0, atol=1e-13,
+                            err_msg=f"N={N}")
+
+    @pytest.mark.parametrize("N", [7, 8])
+    @pytest.mark.parametrize("c", [0.1, 1.0])
+    def test_matches_high_precision_reference(self, N, c):
+        # equal widths: the Irwin-Hall density, where the double-precision
+        # corner sum cancels worst
+        x = np.linspace(-N * c, N * c, 61)
+        want = boxspline_pdf_mp(x, [c] * N)
+        got = BoxSplineLaw.from_widths([c] * N).pdf(x)
+        assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
+
+    def test_zero_and_tiny_widths(self):
+        law = BoxSplineLaw.from_widths([0.0, 1e-14, 0.3, 1.0])
+        x = np.linspace(-1.45, 1.45, 291)
+        assert_allclose(law.pdf(x), boxspline_pdf(x, [0.3, 1.0]), atol=1e-13)
+        point = BoxSplineLaw.from_widths([0.0, 0.0])
+        assert point.breaks().tolist() == [0.0, 0.0]
+        assert np.all(point.pdf(x) == 0.0)
+
+    def test_laws_by_coordinate_law(self, wiener_problem, expcov_problem):
+        law = k_law(wiener_problem, 0.75)
+        assert isinstance(law, NormalLaw)
+        assert (law.mean, law.sigma) == kn_sigma(wiener_problem.process, 0.75, 2)
+        box = k_law(expcov_problem, 0.25)
+        assert isinstance(box, BoxSplineLaw)
+        c = np.sqrt(3.0) * np.abs(expcov_problem.h_vector(0.25))
+        assert_allclose(box.breaks()[[0, -1]], [-c.sum(), c.sum()], rtol=1e-15)
+
 
 class TestCollapsed:
     def test_initial_time(self, bridge_problem):
@@ -147,8 +199,21 @@ class TestCollapsed:
                         bridge_problem.initial.pdf(p), atol=0.0)
 
     def test_uniform_coordinates_rejected(self, expcov_problem):
-        with pytest.raises(ValueError):
-            f1n_collapsed(expcov_problem, 0.5, 0.25)
+        # only beyond the box-spline size guard
+        big = Problem(expcov_problem.process, expcov_problem.initial,
+                      MAX_BOX_N + 1)
+        with pytest.raises(ValueError, match="box-spline law of 11 widths"):
+            f1n_collapsed(big, 0.5, 0.25)
+
+    def test_uniform_matches_boxspline_oracle(self, expcov_problem):
+        p = np.linspace(0.02, 0.98, 25)
+        for N in (1, 2, 3):
+            prob = Problem(expcov_problem.process, expcov_problem.initial, N)
+            for t in EX3_TIMES:
+                want = [f1_uniform_exact(x, t, prob.process, prob.initial, N)
+                        for x in p]
+                assert_allclose(density_row(prob, p, t), want, rtol=0,
+                                atol=1e-12, err_msg=f"N={N} t={t}")
 
     def test_normalization(self, wiener_problem):
         p = np.linspace(0.0, 1.0, 2001)
@@ -188,15 +253,15 @@ class TestDensityGrid:
         grid = density_grid(wiener_problem, p_grid=p, t_grid=t)
         assert grid.values.shape == (3, 31)
         assert_allclose(grid.values[0], wiener_problem.initial.pdf(p), atol=0.0)
-        assert grid.meta["N"] == 2
-        assert grid.meta["path"] == "collapsed"
-        assert grid.meta["process"] == "wiener"
+        assert grid.meta == {"N": 2, "process": "wiener", "initial": "beta"}
 
-    def test_auto_path_tensor_for_uniform(self, expcov_problem):
-        grid = density_grid(expcov_problem, p_grid=np.array([0.4, 0.5]),
-                            t_grid=np.array([0.25]))
-        assert grid.meta["path"] == "tensor"
-        assert grid.meta["quad_order"] == expcov_problem.rule.order
+    def test_uniform_grid_rows_are_density_rows(self, expcov_problem):
+        p, t = np.array([0.4, 0.5]), np.array([0.0, 0.25])
+        grid = density_grid(expcov_problem, p_grid=p, t_grid=t)
+        assert grid.meta["process"] == "expcov"
+        for i in range(t.size):
+            assert np.array_equal(grid.values[i],
+                                  density_row(expcov_problem, p, t[i]))
 
     def test_grid_validation(self, wiener_problem):
         with pytest.raises(ValueError):
@@ -208,11 +273,12 @@ class TestDensityGrid:
 
     def test_density_row_picks_path_by_coordinate_law(self, wiener_problem,
                                                       expcov_problem):
+        # one engine for both coordinate laws, through the law of K
         p = np.array([0.3, 0.45, 0.6])
         assert np.array_equal(density_row(wiener_problem, p, 0.75),
                               f1n_collapsed(wiener_problem, p, 0.75))
         assert np.array_equal(density_row(expcov_problem, p, 0.25),
-                              _f1n_tensor_many(expcov_problem, p, 0.25))
+                              f1n_collapsed(expcov_problem, p, 0.25))
         with pytest.raises(ValueError):
             density_row(wiener_problem, np.array([0.5, 1.0]), 0.0)
 
@@ -220,7 +286,7 @@ class TestDensityGrid:
         grid = density_grid(expcov_problem, p_grid=np.array([0.45]),
                             t_grid=np.array([0.25]))
         assert_allclose(grid.values[0, 0],
-                        f1n_eval(expcov_problem, 0.45, 0.25), rtol=1e-14)
+                        f1n_collapsed(expcov_problem, 0.45, 0.25), rtol=1e-14)
 
     def test_default_grids(self, wiener_problem):
         grid = density_grid(wiener_problem, t_grid=np.array([0.5]))

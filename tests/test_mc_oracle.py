@@ -83,19 +83,6 @@ class TestDensityCheck:
         assert a.l1_distance == b.l1_distance
         assert a.mc_mean == b.mc_mean
 
-    def test_shards_partition_the_samples(self, wiener_problem):
-        one = mc_density_check(wiener_problem, 0.75, McConfig(**self.CFG))
-        two = mc_density_check(wiener_problem, 0.75, McConfig(**self.CFG),
-                               shards=2)
-        assert one.counts.sum() == self.CFG["samples"]
-        assert two.counts.sum() == self.CFG["samples"]
-        assert two.shards == 2
-        # same expected frequencies (same problem), different sample stream
-        assert_allclose(two.expected_freq, one.expected_freq, atol=0.0)
-        rerun = mc_density_check(wiener_problem, 0.75, McConfig(**self.CFG),
-                                 shards=2)
-        assert np.array_equal(two.counts, rerun.counts)
-
     def test_initial_time_self_consistency(self, bridge_problem):
         # at t0 the sampler and the density are both the initial law, so the
         # z-scores are pure binomial noise
