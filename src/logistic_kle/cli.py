@@ -33,12 +33,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .density import DEFAULT_P_GRID, Problem, density_row, f1_exact_wiener
+from .density import (DEFAULT_P_GRID, Problem, density_row, f1_exact_wiener,
+                      wiener_law)
 from .distributions import truncated_beta, truncated_exponential
 from .kle import KleProcess
 from .mc_oracle import McConfig, mc_density_check
-from .stats import (ErrorReport, density_moments, e_moment_consecutive,
-                    e_moment_exact, e_pdf_consecutive, e_pdf_exact, moments_n)
+from .stats import (ErrorReport, e_moment_consecutive, e_moment_exact,
+                    e_pdf_consecutive, e_pdf_exact, law_moments, moments_n)
 
 __all__ = ["main", "resolve_config", "PRESETS"]
 
@@ -279,8 +280,7 @@ def cmd_moments(cfg, outdir: Path):
     for t in t_grid:
         pairs = [moments_n(pr, t) for pr in problems]
         if exact:
-            em, ev = density_moments(
-                lambda p: f1_exact_wiener(problems[0].initial, p, t, T))
+            em, ev = law_moments(wiener_law(t, T), problems[0].initial)
         for (mean, var), N in zip(pairs, cfg["N"]):
             row = [float(t), int(N), mean, var]
             if exact:

@@ -11,7 +11,8 @@ ones, the box spline of sum_j U(-c_j, c_j) with c_j = sqrt(3)|H_j(t)|
 (``BoxSplineLaw``).  ``f1n_collapsed`` evaluates it with Gauss-Legendre
 panels split at the law's breaks, to machine precision; ``density_row`` is
 that call plus the t0 shortcut, and ``f1_exact_wiener`` is the same integral
-against the non-truncated Wiener law N(0, t^3/3).
+against the non-truncated Wiener law N(0, t^3/3) (``wiener_law``).
+``law_rule`` turns a law into the nodes and weights of ``stats.law_moments``.
 
 ``f1n_eval`` integrates the literal N-dimensional formula
 f1n = int f_P0(arg(p, K)) jac(p, K) f_xi(xi) dxi (``rvt_kernel``) by tensor
@@ -39,6 +40,8 @@ __all__ = [
     "NormalLaw",
     "BoxSplineLaw",
     "k_law",
+    "law_rule",
+    "wiener_law",
     "rvt_kernel",
     "f1n_eval",
     "f1n_collapsed",
@@ -269,6 +272,25 @@ def k_law(problem: Problem, t):
                                     process.mean_primitive(t))
 
 
+def law_rule(law):
+    """Nodes and probability weights over K ~ ``law``: one 24-point
+    Gauss-Legendre panel between consecutive breaks, weighted by the pdf.
+    A point mass (all breaks equal) is one node of weight 1."""
+    brk = law.breaks()
+    if brk[0] == brk[-1]:
+        return brk[:1], np.ones(1)
+    a, half = brk[:-1, None], np.diff(brk)[:, None] / 2.0
+    nodes = (a + half * (_GL_X + 1.0)).ravel()
+    return nodes, (half * _GL_W).ravel() * law.pdf(nodes)
+
+
+def wiener_law(t, T=1.5):
+    """Law N(0, t^3/3) of the full Wiener time-integral at t in [0, T]."""
+    if not 0.0 <= t <= T + _T0_TOL:
+        raise ValueError(f"time {t} outside [0, {T}]")
+    return NormalLaw(0.0, float(np.sqrt(t ** 3 / 3.0)))
+
+
 def _logit_convolution(p, law, initial: InitialLaw):
     """Density of P with logit(P) = logit(P0) + K, K ~ ``law``:
 
@@ -311,14 +333,11 @@ def f1n_collapsed(problem: Problem, p, t):
 def f1_exact_wiener(initial: InitialLaw, p, t, T=1.5):
     """Non-truncated density for the Wiener growth model.
 
-    The full time-integral of the Wiener process is N(0, t^3/3), so the exact
-    density has the same 1-D form as ``f1n_collapsed`` with
-    sigma = sqrt(t^3/3); at t = 0 it is the initial density by continuity.
+    The full time-integral of the Wiener process is N(0, t^3/3)
+    (``wiener_law``), so the exact density has the same 1-D form as
+    ``f1n_collapsed``; at t = 0 it is the initial density by continuity.
     """
-    if not 0.0 <= t <= T + _T0_TOL:
-        raise ValueError(f"time {t} outside [0, {T}]")
-    law = NormalLaw(0.0, float(np.sqrt(t ** 3 / 3.0)))
-    return _scalar_or_row(p, _logit_convolution(p, law, initial))
+    return _scalar_or_row(p, _logit_convolution(p, wiener_law(t, T), initial))
 
 
 def density_row(problem: Problem, p, t):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .distributions import STANDARD_GAUSSIAN, UNIFORM_SYM, XiLaw
+from .distributions import STANDARD_GAUSSIAN, UNIFORM_SYM
 
 __all__ = [
     "TimeDomain",

@@ -1,15 +1,16 @@
 """Independent reference implementations used only by the test suite.
 
 These deliberately avoid the library's own integration machinery: the point
-is to cross-check the tensor-quadrature densities against closed forms built
-a different way.
+is to cross-check the densities and moments against closed forms and
+integrals built a different way.
 """
 
 from itertools import product
-from math import factorial
+from math import exp, factorial, log, prod
 
 import mpmath as mp
 import numpy as np
+from scipy.integrate import quad, simpson
 from scipy.special import expit, logit
 
 from logistic_kle import primitive_h
@@ -85,3 +86,46 @@ def f1_uniform_exact(p, t, process, initial, N, order=40):
         vals = initial.pdf(q) * q * (1.0 - q) * boxspline_pdf(v - u, c)
         total += 0.5 * (b - a) * float(gw @ vals)
     return total / (p * (1.0 - p))
+
+
+def boxspline_law(c, mean=0.0):
+    """Scalar pdf of mean + sum_j c_j U_j (U_j ~ U(-1, 1), c_j > 0) in plain
+    floats, by the corner sum of ``boxspline_pdf``, and its sorted kinks."""
+    N = len(c)
+    corners = [(sum(s * ci for s, ci in zip(signs, c)), (-1) ** signs.count(-1))
+               for signs in product((1, -1), repeat=N)]
+    den = 2 ** N * factorial(N - 1) * prod(c)
+
+    def pdf(k):
+        return sum(sign * (k - mean + shift) ** (N - 1)
+                   for shift, sign in corners if k - mean + shift > 0) / den
+    return pdf, sorted({mean - shift for shift, _ in corners})
+
+
+def moments_nested_quad(k_pdf, kinks, initial):
+    """(mean, variance) of P = expit(logit P0 + K) as a double integral by
+    nested ``scipy.integrate.quad``: over K from kinks[0] to kinks[-1], split
+    at the inner kinks, then over the initial support."""
+    opts = dict(epsabs=1e-15, epsrel=1e-13, limit=200)
+
+    def raw(power):
+        def e_k(q):
+            u = log(q / (1.0 - q))
+            return quad(lambda k: k_pdf(k) / (1.0 + exp(-u - k)) ** power,
+                        kinks[0], kinks[-1], points=kinks[1:-1], **opts)[0]
+        return quad(lambda q: float(initial.pdf(q)) * e_k(q),
+                    initial.p01, initial.p02, **opts)[0]
+
+    m1, m2 = raw(1), raw(2)
+    return m1, m2 - m1 * m1
+
+
+def simpson_moments(density, n_points=2001):
+    """(mean, variance) of a density, given as a callable p_array -> values,
+    by composite Simpson on (0.001, 0.999): the regression oracle for
+    ``stats.law_moments``.  Within 3e-10 of the exact moments at the presets'
+    interior times; 3e-5 off at example 2's t0, where the density jumps."""
+    p = np.linspace(0.001, 0.999, n_points)
+    f = density(p)
+    mean = float(simpson(p * f, x=p))
+    return mean, max(float(simpson(p * p * f, x=p)) - mean * mean, 0.0)

@@ -11,7 +11,6 @@ import functools
 import time
 
 import numpy as np
-from numpy.testing import assert_allclose
 from scipy.integrate import simpson
 from scipy.optimize import brentq
 

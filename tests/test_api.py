@@ -1,6 +1,7 @@
-"""The public API as documented: README examples run, and every exported
-name exists."""
+"""The public API as documented: README examples run, every exported
+name exists, and no module imports a name it does not use."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -9,7 +10,8 @@ import pytest
 
 import logistic_kle
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 MODULES = ("cli", "density", "distributions", "kle", "mc_oracle",
            "quadrature", "stats")
 
@@ -27,3 +29,30 @@ def test_all_names_resolve(module):
         importlib.import_module(f"logistic_kle.{module}")
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing, f"{mod.__name__}.__all__ names missing: {missing}"
+
+
+def _unused_imports(path):
+    """Top-level imported names of a module that it never references; names
+    listed in its ``__all__`` count as used."""
+    tree = ast.parse(path.read_text())
+    imported, exported = {}, set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__" for target in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.relative_to(ROOT)}:{line} {name}"
+            for name, line in imported.items() if name not in used | exported]
+
+
+def test_no_unused_imports():
+    paths = sorted((ROOT / "src" / "logistic_kle").glob("*.py")) + \
+        sorted((ROOT / "tests").glob("*.py"))
+    unused = [hit for path in paths for hit in _unused_imports(path)]
+    assert not unused, f"imported but never used: {unused}"

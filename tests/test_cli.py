@@ -1,6 +1,5 @@
 import csv
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest

@@ -14,7 +14,8 @@ from logistic_kle import (KleProcess, Problem, density_grid, density_row,
                           primitive_h, rvt_kernel, truncated_beta,
                           truncated_exponential)
 from logistic_kle.density import (MAX_BOX_N, BoxSplineLaw, NormalLaw,
-                                  _f1n_tensor_many, k_law)
+                                  _f1n_tensor_many, k_law, law_rule,
+                                  wiener_law)
 
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import (boxspline_pdf, boxspline_pdf_mp,  # noqa: E402
@@ -190,6 +191,29 @@ class TestBoxSplineLaw:
         assert isinstance(box, BoxSplineLaw)
         c = np.sqrt(3.0) * np.abs(expcov_problem.h_vector(0.25))
         assert_allclose(box.breaks()[[0, -1]], [-c.sum(), c.sum()], rtol=1e-15)
+
+
+class TestLawRule:
+    def test_probability_weights_match_law_moments(self, wiener_problem,
+                                                   expcov_problem):
+        for prob, t in ((wiener_problem, 0.9), (expcov_problem, -0.2),
+                        (expcov_problem, 0.49)):
+            k, w = law_rule(k_law(prob, t))
+            m, sigma = kn_sigma(prob.process, t, prob.N)
+            assert_allclose([w.sum(), w @ k, w @ (k - m) ** 2],
+                            [1.0, m, sigma ** 2], rtol=1e-13, atol=1e-16,
+                            err_msg=f"{prob.process.kind} t={t}")
+
+    def test_point_mass_is_one_node(self, wiener_problem, expcov_problem):
+        for law in (k_law(wiener_problem, 0.0), k_law(expcov_problem, -0.5),
+                    wiener_law(0.0)):
+            k, w = law_rule(law)
+            assert (k.tolist(), w.tolist()) == ([0.0], [1.0])
+
+    def test_wiener_law(self):
+        assert wiener_law(1.5) == NormalLaw(0.0, np.sqrt(1.5 ** 3 / 3.0))
+        with pytest.raises(ValueError, match="outside"):
+            wiener_law(1.6)
 
 
 class TestCollapsed:

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import expit, logit
 
 from logistic_kle import (KleProcess, McConfig, Problem, k_extremes,
                           mc_density_check, truncated_beta,

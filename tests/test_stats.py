@@ -1,12 +1,23 @@
+import math
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
 
 from logistic_kle import (ErrorReport, KleProcess, Problem,
                           e_moment_consecutive, e_moment_exact,
                           e_pdf_consecutive, e_pdf_exact, f1_exact_wiener,
-                          density_row, moments_n, truncated_beta,
+                          density_row, kn_sigma, moments_n, truncated_beta,
                           truncated_exponential)
+from logistic_kle.density import k_law
+from logistic_kle.stats import _exact_moment_curves, law_moments
+
+sys.path.insert(0, str(Path(__file__).parent))
+from oracles import (boxspline_law, f1_uniform_exact,  # noqa: E402
+                     moments_nested_quad, simpson_moments)
 
 
 @pytest.fixture(scope="module")
@@ -29,21 +40,70 @@ def expcov_problem():
 class TestMoments:
     def test_initial_time_matches_law(self, wiener_problem, bridge_problem,
                                       expcov_problem):
-        # the fixed Simpson grid sees the initial law's jump at the support
-        # edges; the beta kernel is ~4e-7 there, the exponential one ~10,
-        # which sets the achievable agreement
-        for prob, tol in ((wiener_problem, 1e-6), (bridge_problem, 1e-4),
-                          (expcov_problem, 1e-6)):
+        for prob in (wiener_problem, bridge_problem, expcov_problem):
             mean, var = moments_n(prob, prob.process.domain.t0)
             law_mean, law_var = prob.initial.moments()
-            assert_allclose(mean, law_mean, atol=tol)
-            assert_allclose(var, law_var, atol=tol)
+            assert_allclose(mean, law_mean, atol=1e-13)
+            assert_allclose(var, law_var, atol=1e-13)
 
     def test_mean_stays_in_unit_interval(self, wiener_problem):
         for t in (0.25, 0.75, 1.5):
             mean, var = moments_n(wiener_problem, t)
             assert 0.0 < mean < 1.0
             assert var > 0.0
+
+    def test_matches_simpson_over_density_rows(self, wiener_problem,
+                                               bridge_problem, expcov_problem):
+        # the regression oracle: composite Simpson over 2001 density values,
+        # which is within 3e-10 at interior times (its (0.001, 0.999)
+        # window cuts off the most at the Wiener model's t = 1.5)
+        for prob, times in ((wiener_problem, (0.5, 1.0, 1.5)),
+                            (bridge_problem, (0.25, 0.5, 0.75))):
+            for t in times:
+                want = simpson_moments(lambda p: density_row(prob, p, t))
+                assert_allclose(moments_n(prob, t), want, rtol=0, atol=1e-9,
+                                err_msg=f"{prob.process.kind} t={t}")
+        prob, t = expcov_problem, 0.25
+        want = simpson_moments(lambda p: np.array(
+            [f1_uniform_exact(x, t, prob.process, prob.initial, prob.N)
+             for x in p]))
+        assert_allclose(moments_n(prob, t), want, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_law_moments_match_double_integral(self, N, wiener_problem,
+                                               bridge_problem, expcov_problem):
+        for base, t in ((wiener_problem, 0.9), (bridge_problem, 0.3)):
+            prob = Problem(base.process, base.initial, N)
+            m, s = kn_sigma(prob.process, t, N)
+
+            def pdf(k):
+                z = (k - m) / s
+                return math.exp(-0.5 * z * z) / (s * math.sqrt(2.0 * math.pi))
+
+            want = moments_nested_quad(pdf, [m - 12 * s, m, m + 12 * s],
+                                       prob.initial)
+            assert_allclose(law_moments(k_law(prob, t), prob.initial), want,
+                            rtol=0, atol=1e-12,
+                            err_msg=f"{prob.process.kind} t={t}")
+        prob = Problem(expcov_problem.process, expcov_problem.initial, N)
+        for t in (-0.25, 0.3, 0.49):
+            c = list(np.sqrt(3.0) * np.abs(prob.h_vector(t)))
+            pdf, kinks = boxspline_law(c, prob.process.mean_primitive(t))
+            want = moments_nested_quad(pdf, kinks, prob.initial)
+            assert_allclose(law_moments(k_law(prob, t), prob.initial), want,
+                            rtol=0, atol=1e-12, err_msg=f"expcov t={t}")
+
+    def test_exact_wiener_curve_matches_density(self, wiener_problem):
+        initial = wiener_problem.initial
+        t_grid = np.array([0.0, 0.5, 1.0, 1.5])
+        means, varis = _exact_moment_curves(wiener_problem, t_grid)
+        for t, mean, var in zip(t_grid, means, varis):
+            m1, m2 = (quad(lambda p: p ** j * f1_exact_wiener(initial, p, t),
+                           0.0, 1.0, points=[initial.p01, initial.p02],
+                           epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+                      for j in (1, 2))
+            assert_allclose([mean, var], [m1, m2 - m1 * m1], rtol=0,
+                            atol=1e-12, err_msg=f"t={t}")
 
 
 class TestPdfErrors:
