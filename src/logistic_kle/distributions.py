@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import betainc, betaincinv, ndtri
+from scipy.special import beta as beta_fn, betainc, betaincinv, ndtri
 
 __all__ = [
     "InitialLaw",
@@ -74,16 +73,6 @@ class InitialLaw:
         c = np.clip(c, 0.0, 1.0)
         return c if c.ndim else float(c)
 
-    def cdf_quad(self, p):
-        """Scalar CDF by adaptive quadrature of the density (reference path)."""
-        p = float(p)
-        if p <= self.p01:
-            return 0.0
-        if p >= self.p02:
-            return 1.0
-        val, _ = quad(self._kernel, self.p01, p, epsabs=1e-14, epsrel=1e-13)
-        return min(max(val / self.norm_const, 0.0), 1.0)
-
     def ppf(self, u):
         """Inverse CDF, vectorized over ``u`` (closed form for both kinds)."""
         u = np.asarray(u, dtype=float)
@@ -102,12 +91,21 @@ class InitialLaw:
         return float(out) if scalar else out
 
     def moments(self):
-        """(mean, variance) by adaptive quadrature of p^k * pdf."""
-        m1, _ = quad(lambda p: p * self.pdf(p), self.p01, self.p02,
-                     epsabs=1e-13, epsrel=1e-12)
-        m2, _ = quad(lambda p: p * p * self.pdf(p), self.p01, self.p02,
-                     epsabs=1e-13, epsrel=1e-12)
-        return m1, m2 - m1 * m1
+        """(mean, variance) in closed form: incomplete-beta ratios for the
+        Beta kind, integration by parts for the exponential one."""
+        if self.kind == "exponential":
+            lam, = self.params
+            e01, e02 = np.exp(-lam * self.p01), np.exp(-lam * self.p02)
+            edge = lambda k: ((self.p01 ** k * e01 - self.p02 ** k * e02)
+                              / self.norm_const)
+            m1 = edge(1) + 1.0 / lam
+            m2 = edge(2) + 2.0 * m1 / lam
+        else:
+            a, b = self.params
+            mass = lambda s: betainc(s, b, self.p02) - betainc(s, b, self.p01)
+            m1 = a / (a + b) * mass(a + 1.0) / mass(a)
+            m2 = m1 * (a + 1.0) / (a + b + 1.0) * mass(a + 2.0) / mass(a + 1.0)
+        return float(m1), float(m2 - m1 * m1)
 
 
 def _check_support(p01, p02):
@@ -118,14 +116,15 @@ def _check_support(p01, p02):
 def truncated_beta(alpha, beta, p01=0.1, p02=0.9):
     """Beta(alpha, beta) kernel truncated and renormalized to [p01, p02].
 
-    The normalization constant is computed by adaptive quadrature of the
-    un-normalized kernel (no incomplete-beta special functions needed).
+    The normalization constant, the integral of the un-normalized kernel
+    over [p01, p02], is B(alpha, beta) times the difference of the
+    regularized incomplete beta function at the two ends.
     """
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
     _check_support(p01, p02)
-    kern = lambda p: p ** (alpha - 1.0) * (1.0 - p) ** (beta - 1.0)
-    norm, _ = quad(kern, p01, p02, epsabs=1e-15, epsrel=1e-13)
+    norm = float(beta_fn(alpha, beta)
+                 * (betainc(alpha, beta, p02) - betainc(alpha, beta, p01)))
     return InitialLaw("beta", (float(alpha), float(beta)), float(p01), float(p02), norm)
 
 

@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .distributions import STANDARD_GAUSSIAN, UNIFORM_SYM
 
@@ -97,35 +96,37 @@ def bridge_eigenpair(j):
 # exponential covariance exp(-c|s-t|) on [-a, a]
 
 
-def _odd_eq(w, c, a):
-    return c - w * np.tan(w * a)
-
-
-def _even_eq(w, c, a):
-    return w + c * np.tan(w * a)
-
-
 def expcov_roots(c, a, count):
     """First ``count`` roots of each parity branch, interleaved.
 
     Odd branch: c - w tan(wa) = 0, k-th root in ((k-1)pi/a, (2k-1)pi/(2a));
     even branch: w + c tan(wa) = 0, k-th root in ((2k-1)pi/(2a), k pi/a).
-    Each interval between consecutive tangent poles holds exactly one root,
-    which Brent's method brackets and solves to 1e-15.
+    Free of tangent poles, both read wa = (m-1)pi/2 + arctan(c/w) for the
+    m-th root overall (m odd: odd branch).  The difference of the two sides
+    is increasing and concave in w, so Newton's method started at each
+    interval's left end climbs monotonically to the root; all 2*count roots
+    are iterated together, each until its step is within a few ulps.
     Returns [('odd', w1), ('even', w1*), ('odd', w2), ...].
     """
     if c <= 0 or a <= 0 or count < 1:
         raise ValueError("need c > 0, a > 0, count >= 1")
-    eps = 1e-9
-    out = []
-    for k in range(1, count + 1):
-        w = brentq(_odd_eq, (k - 1) * np.pi / a + eps,
-                   (2 * k - 1) * np.pi / (2 * a) - eps, args=(c, a), xtol=1e-15)
-        ws = brentq(_even_eq, (2 * k - 1) * np.pi / (2 * a) + eps,
-                    k * np.pi / a - eps, args=(c, a), xtol=1e-15)
-        out.append(("odd", w))
-        out.append(("even", ws))
-    return out
+    base = np.arange(2 * count) * (0.5 * np.pi)
+    w, live = base / a, np.arange(base.size)
+    for _ in range(100):    # quadratic convergence: a handful of steps
+        if not live.size:
+            break
+        wl = w[live]
+        step = (wl * a - base[live] - np.arctan2(c, wl)) / (a + c / (wl * wl + c * c))
+        w[live] = wl - step
+        live = live[np.abs(step) > 4.0 * np.finfo(float).eps * w[live]]
+    return [("even" if m % 2 else "odd", float(x)) for m, x in enumerate(w)]
+
+
+def _expcov_pair(parity_index, parity, w, c, a):
+    sign = 1.0 if parity == "odd" else -1.0     # cosine : sine eigenfunction
+    norm = np.sqrt(a + sign * np.sin(2 * w * a) / (2 * w))
+    return EigenPair(parity_index, 2.0 * c / (w * w + c * c), w, norm,
+                     "cos" if sign > 0 else "sin", parity)
 
 
 def expcov_eigenpair(parity_index, c, a):
@@ -133,16 +134,8 @@ def expcov_eigenpair(parity_index, c, a):
     odd_1, even_1, odd_2, even_2, ...) for the kernel exp(-c|s-t|) on [-a,a]."""
     if parity_index < 1:
         raise ValueError("index must be >= 1")
-    roots = expcov_roots(c, a, (parity_index + 1) // 2)
-    parity, w = roots[parity_index - 1]
-    nu = 2.0 * c / (w * w + c * c)
-    if parity == "odd":
-        norm = np.sqrt(a + np.sin(2 * w * a) / (2 * w))
-        shape = "cos"
-    else:
-        norm = np.sqrt(a - np.sin(2 * w * a) / (2 * w))
-        shape = "sin"
-    return EigenPair(parity_index, nu, w, norm, shape, parity)
+    parity, w = expcov_roots(c, a, (parity_index + 1) // 2)[parity_index - 1]
+    return _expcov_pair(parity_index, parity, w, c, a)
 
 
 class KleProcess:
@@ -182,18 +175,28 @@ class KleProcess:
     def eigenpair(self, j) -> EigenPair:
         if j not in self._pairs:
             if self.kind == "wiener":
-                pair = wiener_eigenpair(j, self.params["T"])
+                self._pairs[j] = wiener_eigenpair(j, self.params["T"])
             elif self.kind == "bridge":
-                pair = bridge_eigenpair(j)
+                self._pairs[j] = bridge_eigenpair(j)
             else:
-                pair = expcov_eigenpair(j, self.params["c"], self.params["a"])
-                prev = self._pairs.get(j - 1)
-                if prev is not None and pair.value > prev.value:
-                    warnings.warn(
-                        "interleaved eigenvalue sequence is not descending "
-                        f"at index {j}", stacklevel=2)
-            self._pairs[j] = pair
+                self._fill_expcov(j)
         return self._pairs[j]
+
+    def _fill_expcov(self, j):
+        """Cache the exponential-kernel pairs up to index j from one root
+        solve, at least doubling the cache so that growing N stays cheap."""
+        if j < 1:
+            raise ValueError("index must be >= 1")
+        c, a = self.params["c"], self.params["a"]
+        count = max((j + 1) // 2, len(self._pairs))
+        for i, (parity, w) in enumerate(expcov_roots(c, a, count), 1):
+            if i in self._pairs:
+                continue
+            pair = _expcov_pair(i, parity, w, c, a)
+            if i > 1 and pair.value > self._pairs[i - 1].value:
+                warnings.warn("interleaved eigenvalue sequence is not descending "
+                              f"at index {i}", stacklevel=3)
+            self._pairs[i] = pair
 
     def mean_primitive(self, t):
         """m(t) = integral of the mean function from t0 to t.

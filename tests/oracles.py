@@ -120,6 +120,18 @@ def moments_nested_quad(k_pdf, kinks, initial):
     return m1, m2 - m1 * m1
 
 
+def cdf_quad(law, p):
+    """Scalar CDF of an ``InitialLaw`` by adaptive quadrature of its density:
+    the reference for the closed-form ``InitialLaw.cdf``."""
+    p = float(p)
+    if p <= law.p01:
+        return 0.0
+    if p >= law.p02:
+        return 1.0
+    val, _ = quad(law.pdf, law.p01, p, epsabs=1e-14, epsrel=1e-13)
+    return min(max(val, 0.0), 1.0)
+
+
 def simpson_moments(density, n_points=2001):
     """(mean, variance) of a density, given as a callable p_array -> values,
     by composite Simpson on (0.001, 0.999): the regression oracle for

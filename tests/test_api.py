@@ -1,9 +1,13 @@
 """The public API as documented: README examples run, every exported
-name exists, and no module imports a name it does not use."""
+name exists, no module imports a name it does not use, and importing the
+package loads no scipy module beyond ``scipy.special``."""
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,3 +60,30 @@ def test_no_unused_imports():
         sorted((ROOT / "tests").glob("*.py"))
     unused = [hit for path in paths for hit in _unused_imports(path)]
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_import_loads_only_scipy_special():
+    # scipy.integrate alone costs more start-up than a preset's whole job list
+    code = ("import sys, logistic_kle, logistic_kle.cli; print(sorted(m for m in "
+            "('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, cwd=ROOT,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.stdout.strip() == "[]", out.stdout
+
+
+def test_no_deferred_scipy_imports():
+    # nor imported inside a function, where it would still cost a run that time
+    heavy = ("scipy.integrate", "scipy.optimize")
+    hits = []
+    for path in sorted((ROOT / "src" / "logistic_kle").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            hits += [f"{path.name}:{node.lineno} {name}" for name in names
+                     if name.startswith(heavy)]
+    assert not hits, f"heavy scipy imports in the package: {hits}"

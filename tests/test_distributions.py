@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,6 +8,9 @@ from scipy.integrate import quad
 
 from logistic_kle import (STANDARD_GAUSSIAN, UNIFORM_SYM, truncated_beta,
                           truncated_exponential)
+
+sys.path.insert(0, str(Path(__file__).parent))
+from oracles import cdf_quad  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +48,7 @@ class TestInitialLaw:
     def test_cdf_matches_adaptive_quadrature(self, beta710, exp10):
         for law in (beta710, exp10):
             for p in (0.12, 0.3, 0.55, 0.84):
-                assert_allclose(law.cdf(p), law.cdf_quad(p), atol=1e-11)
+                assert_allclose(law.cdf(p), cdf_quad(law, p), atol=1e-11)
 
     def test_cdf_endpoints(self, beta710):
         assert beta710.cdf(beta710.p01) == 0.0
@@ -70,10 +76,27 @@ class TestInitialLaw:
         assert_allclose(mean, simpson(p * f, x=p), atol=1e-9)
         assert_allclose(var, simpson(p * p * f, x=p) - mean ** 2, atol=1e-9)
 
+    @pytest.mark.parametrize("law", [
+        truncated_beta(7, 10), truncated_beta(0.5, 0.7, 0.01, 0.99),
+        truncated_exponential(10), truncated_exponential(1, 0.2, 0.7)],
+        ids=["beta7-10", "beta0.5-0.7", "exp10", "exp1"])
+    def test_closed_forms_match_adaptive_quadrature(self, law):
+        opts = dict(epsabs=1e-15, epsrel=1e-13, limit=200)
+        if law.kind == "beta":
+            a, b = law.params
+            norm, _ = quad(lambda p: p ** (a - 1) * (1 - p) ** (b - 1),
+                           law.p01, law.p02, **opts)
+            assert_allclose(law.norm_const, norm, rtol=1e-14)
+        m1, _ = quad(lambda p: p * law.pdf(p), law.p01, law.p02, **opts)
+        m2, _ = quad(lambda p: p * p * law.pdf(p), law.p01, law.p02, **opts)
+        mean, var = law.moments()
+        assert_allclose(mean, m1, rtol=0, atol=1e-14)
+        assert_allclose(var, m2 - m1 * m1, rtol=0, atol=1e-14)
+
     def test_free_function_wrappers(self, beta710):
         # scalar calls of pdf/ppf agree with the array paths
         assert beta710.pdf(0.4) == beta710.pdf(np.array([0.4]))[0]
-        # scalar path goes through the adaptive-quadrature CDF
+        # the scalar ppf returns a float that the closed-form CDF inverts
         x = beta710.ppf(0.5)
         assert isinstance(x, float)
         assert_allclose(beta710.cdf(x), 0.5, atol=1e-9)

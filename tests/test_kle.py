@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
+import logistic_kle.kle as kle
 from logistic_kle import (KleProcess, TimeDomain, bridge_eigenpair,
                           expcov_eigenpair, expcov_roots, kn_sigma,
                           primitive_h, wiener_eigenpair)
@@ -102,6 +104,19 @@ class TestExponentialCov:
         assert_allclose(roots[0][1], 1.3065423741888, atol=1e-10)
         assert_allclose(roots[1][1], 3.6731944063042, atol=1e-10)
 
+    @pytest.mark.parametrize("c, a", [(1.0, 0.5), (10.0, 0.5), (0.1, 2.0)])
+    def test_roots_match_brent(self, c, a):
+        # the pole-bracketed tangent equations solved by Brent's method
+        eps, got = 1e-9, expcov_roots(c, a, 200)
+        for k in range(1, 201):
+            w = brentq(lambda w: c - w * np.tan(w * a), (k - 1) * np.pi / a + eps,
+                       (2 * k - 1) * np.pi / (2 * a) - eps, xtol=1e-15)
+            ws = brentq(lambda w: w + c * np.tan(w * a),
+                        (2 * k - 1) * np.pi / (2 * a) + eps, k * np.pi / a - eps,
+                        xtol=1e-15)
+            assert got[2 * k - 2] == ("odd", pytest.approx(w, rel=1e-15, abs=0))
+            assert got[2 * k - 1] == ("even", pytest.approx(ws, rel=1e-15, abs=0))
+
     def test_roots_interlace(self):
         ws = [w for _, w in expcov_roots(self.C, self.A, 10)]
         assert np.all(np.diff(ws) > 0)
@@ -154,6 +169,22 @@ class TestProcessFacade:
         proc = KleProcess.exponential_cov()
         a = proc.eigenpair(3)
         assert proc.eigenpair(3) is a
+
+    def test_expcov_pairs_come_from_one_root_solve(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return expcov_roots(*args)
+
+        monkeypatch.setattr(kle, "expcov_roots", counted)
+        proc = KleProcess.exponential_cov()
+        pairs = [proc.eigenpair(10)]
+        assert len(calls) == 1
+        pairs += [proc.eigenpair(j) for j in range(1, 11)]
+        assert len(calls) == 1
+        for j, pair in enumerate(pairs[1:], 1):
+            assert pair == expcov_eigenpair(j, 1.0, 0.5)
 
     def test_mean_primitive_is_zero(self):
         for proc in (KleProcess.wiener(), KleProcess.brownian_bridge(),

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.integrate import quad
+from scipy.integrate import quad, simpson
 
 from logistic_kle import (ErrorReport, KleProcess, Problem,
                           e_moment_consecutive, e_moment_exact,
@@ -13,7 +13,8 @@ from logistic_kle import (ErrorReport, KleProcess, Problem,
                           density_row, kn_sigma, moments_n, truncated_beta,
                           truncated_exponential)
 from logistic_kle.density import k_law
-from logistic_kle.stats import _exact_moment_curves, law_moments
+from logistic_kle.stats import (ERROR_P_POINTS, ERROR_T_POINTS,
+                                _exact_moment_curves, _simpson, law_moments)
 
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import (boxspline_law, f1_uniform_exact,  # noqa: E402
@@ -104,6 +105,16 @@ class TestMoments:
                       for j in (1, 2))
             assert_allclose([mean, var], [m1, m2 - m1 * m1], rtol=0,
                             atol=1e-12, err_msg=f"t={t}")
+
+
+@pytest.mark.parametrize("n, lo, hi", [(ERROR_P_POINTS, 0.0, 1.0),
+                                        (ERROR_T_POINTS, 0.0, 1.5),
+                                        (ERROR_T_POINTS, -0.5, 0.5)])
+def test_simpson_matches_scipy(n, lo, hi):
+    x = np.linspace(lo, hi, n)
+    rng = np.random.default_rng(n)
+    for y in (np.abs(np.sin(7.0 * x)), np.exp(-x * x), rng.random(n)):
+        assert_allclose(_simpson(y, x), simpson(y, x=x), rtol=1e-14, atol=0)
 
 
 class TestPdfErrors:
