@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import beta as beta_fn, betainc, betaincinv, ndtri
+from scipy.special import beta as beta_fn, betainc, ndtri
 
 __all__ = [
     "InitialLaw",
@@ -24,6 +24,10 @@ __all__ = [
 ]
 
 _SQRT3 = np.sqrt(3.0)
+
+# Beta inverse CDF: table points over the support, then Newton steps
+_PPF_TABLE = 2049
+_PPF_NEWTON_STEPS = 2
 
 
 @dataclass(frozen=True)
@@ -74,7 +78,15 @@ class InitialLaw:
         return c if c.ndim else float(c)
 
     def ppf(self, u):
-        """Inverse CDF, vectorized over ``u`` (closed form for both kinds)."""
+        """Inverse CDF, vectorized over ``u``.
+
+        The exponential kind has a closed form.  The Beta kind solves
+        I(x) = I(p01) + u (I(p02) - I(p01)) for the regularized incomplete
+        beta function I: linear interpolation in a table of I over
+        [p01, p02] starts a fixed number of Newton steps, each clipped to
+        the support.  Above the median the steps solve the complement
+        1 - I(x) = I_{b,a}(1 - x) instead, so that the upper tail keeps its
+        digits."""
         u = np.asarray(u, dtype=float)
         scalar = u.ndim == 0
         if np.any((u <= 0.0) | (u >= 1.0)):
@@ -83,12 +95,29 @@ class InitialLaw:
             lam, = self.params
             out = -np.log(np.exp(-lam * self.p01) - u * self.norm_const) / lam
         else:
-            a, b = self.params
-            i01 = betainc(a, b, self.p01)
-            i02 = betainc(a, b, self.p02)
-            out = betaincinv(a, b, i01 + u * (i02 - i01))
+            out = self._beta_ppf(u)
         out = np.clip(out, self.p01, self.p02)
         return float(out) if scalar else out
+
+    def _beta_ppf(self, u):
+        a, b = self.params
+        grid = np.linspace(self.p01, self.p02, _PPF_TABLE)
+        table = betainc(a, b, grid)
+        i01, i02 = table[0], table[-1]
+        target = i01 + u * (i02 - i01)
+        x = np.interp(target, table, grid)
+        upper = target > 0.5
+        lower = ~upper
+        t_lower = target[lower]
+        t_upper = 1.0 - target[upper]  # exact, since target > 0.5
+        resid = np.empty_like(x)
+        for _ in range(_PPF_NEWTON_STEPS):
+            resid[lower] = betainc(a, b, x[lower]) - t_lower
+            resid[upper] = t_upper - betainc(b, a, 1.0 - x[upper])
+            # the kernel, not self.pdf: ppf evaluates no density points
+            dens = self._kernel(x) / self.norm_const
+            x = np.clip(x - resid / (i02 - i01) / dens, self.p01, self.p02)
+        return x
 
     def moments(self):
         """(mean, variance) in closed form: incomplete-beta ratios for the

@@ -2,9 +2,10 @@
 
 Samples the truncated solution directly -- P0 from the initial law, the KLE
 coordinates from their law, then P_t = expit(logit(P0) + K_N(t, xi)) -- and
-compares a histogram against bin-averaged density values.  Bin counts are
-binomial, so each bin carries an exact z-score and no bandwidth or smoothing
-enters the comparison.
+compares a histogram against expected bin frequencies, each the density at
+the bin midpoint times the bin width.  Bin counts are binomial, so each bin
+carries an exact z-score and no bandwidth or smoothing enters the
+comparison.
 
 Determinism: the PCG64 generator seeded with cfg.seed fully determines every
 draw; per sample the draw order is (P0, xi_1, ..., xi_N).
@@ -22,6 +23,9 @@ from .kle import kn_sigma
 from .stats import moments_n
 
 __all__ = ["McConfig", "McReport", "mc_density_check", "k_extremes"]
+
+# rows of uniforms per sampling block: bounds the sampler's temporaries
+_BLOCK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -63,14 +67,21 @@ class McReport:
 def _sample_block(problem: Problem, t, rng, n):
     """Vectorized sampler: n draws with per-sample order (P0, xi_1..xi_N).
 
-    A single (n, 1+N) uniform matrix is drawn row-major, so sample i consumes
-    its 1+N variates consecutively in the documented order."""
-    u = rng.random((n, 1 + problem.N))
-    p0 = problem.initial.ppf(u[:, 0])
-    xi = problem.process.xi_law.from_uniform(u[:, 1:])
+    The uniforms come row-major in blocks of at most ``_BLOCK_ROWS`` rows of
+    1+N, so sample i consumes its 1+N variates consecutively in the
+    documented order, and the stream is the one a single (n, 1+N) draw
+    would give.  Each block is transformed into its slice of the output,
+    so no temporary grows with n."""
     h = problem.h_vector(t)
-    K = problem.process.mean_primitive(t) + xi @ h
-    return expit(logit(p0) + K)
+    mean = problem.process.mean_primitive(t)
+    x = np.empty(n)
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        u = rng.random((stop - start, 1 + problem.N))
+        p0 = problem.initial.ppf(u[:, 0])
+        xi = problem.process.xi_law.from_uniform(u[:, 1:])
+        x[start:stop] = expit(logit(p0) + (mean + xi @ h))
+    return x
 
 
 def k_extremes(problem: Problem, t):
@@ -111,10 +122,11 @@ def mc_density_check(problem: Problem, t, cfg: McConfig):
     l1 = float(np.sum(np.abs(freq - pe)))
 
     mc_mean = float(np.mean(x))
-    mc_mean_se = float(np.std(x, ddof=1) / np.sqrt(n_tot))
-    centered = x - mc_mean
-    mc_var = float(np.mean(centered ** 2) * n_tot / (n_tot - 1))
-    m4 = float(np.mean(centered ** 4))
+    c2 = x - mc_mean
+    c2 *= c2
+    mc_var = float(np.mean(c2) * n_tot / (n_tot - 1))
+    mc_mean_se = float(np.sqrt(mc_var / n_tot))
+    m4 = float(np.mean(np.square(c2, out=c2)))  # c2 now holds (x - mean)^4
     mc_var_se = float(np.sqrt(max(m4 - mc_var ** 2, 0.0) / n_tot))
     d_mean, d_var = moments_n(problem, t)
 

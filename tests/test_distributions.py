@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.special import betainc, betaincinv
 
 from logistic_kle import (STANDARD_GAUSSIAN, UNIFORM_SYM, truncated_beta,
                           truncated_exponential)
@@ -102,6 +103,26 @@ class TestInitialLaw:
         assert_allclose(beta710.cdf(x), 0.5, atol=1e-9)
         assert_allclose([beta710.ppf(0.3), beta710.ppf(0.7)],
                         beta710.ppf(np.array([0.3, 0.7])), atol=1e-9)
+
+    @pytest.mark.parametrize("law", [
+        truncated_beta(7, 10), truncated_beta(0.5, 0.5), truncated_beta(50, 2),
+        truncated_beta(2, 50), truncated_beta(7, 10, 0.4, 0.45)],
+        ids=["beta7-10", "beta0.5-0.5", "beta50-2", "beta2-50", "narrow"])
+    def test_beta_ppf_matches_betaincinv(self, law):
+        # both tails down to 1e-12 (edges included) and a dense interior
+        tail = np.logspace(-12, -2, 101)
+        u = np.unique(np.concatenate(
+            [tail, np.linspace(0.01, 0.99, 2001), 1.0 - tail]))
+        a, b = law.params
+        i01, i02 = betainc(a, b, law.p01), betainc(a, b, law.p02)
+        ref = np.clip(betaincinv(a, b, i01 + u * (i02 - i01)),
+                      law.p01, law.p02)
+        x = law.ppf(u)
+        assert_allclose(x, ref, rtol=1e-12, atol=0)
+        assert np.all(np.diff(x) >= 0)
+        assert np.all((x >= law.p01) & (x <= law.p02))
+        scalar = law.ppf(1.0 - 1e-12)
+        assert isinstance(scalar, float) and scalar == x[-1]
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

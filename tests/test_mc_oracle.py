@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from scipy.special import expit, logit
+
 from logistic_kle import (KleProcess, McConfig, Problem, k_extremes,
-                          mc_density_check, truncated_beta,
+                          mc_density_check, mc_oracle, truncated_beta,
                           truncated_exponential)
 from logistic_kle.mc_oracle import _sample_block
 
@@ -57,6 +59,25 @@ class TestSampling:
         from logistic_kle import moments_n
         mean, var = moments_n(bridge_problem, 0.5)
         assert abs(block.mean() - mean) < 4.0 * np.sqrt(var / block.size)
+
+    @pytest.mark.parametrize("process", [
+        KleProcess.wiener(1.5),
+        KleProcess.exponential_cov(1.0, 0.5)],
+        ids=["gaussian", "uniform"])
+    def test_blocks_match_one_matrix_draw(self, process, monkeypatch):
+        # one (n, 1+N) draw through the same transforms is the reference;
+        # the blocked sampler must reproduce it bit for bit
+        problem = Problem(process, truncated_beta(7.0, 10.0), 3)
+        n, t = 1000, 0.3
+        monkeypatch.setattr(mc_oracle, "_BLOCK_ROWS", 64)
+        assert n % mc_oracle._BLOCK_ROWS
+        u = np.random.default_rng(9).random((n, 1 + problem.N))
+        p0 = problem.initial.ppf(u[:, 0])
+        xi = process.xi_law.from_uniform(u[:, 1:])
+        K = process.mean_primitive(t) + xi @ problem.h_vector(t)
+        ref = expit(logit(p0) + K)
+        x = _sample_block(problem, t, np.random.default_rng(9), n)
+        assert np.array_equal(x, ref)
 
     def test_k_extremes_at_origin(self, wiener_problem):
         lo, hi = k_extremes(wiener_problem, 0.0)
