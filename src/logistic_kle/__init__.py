@@ -10,16 +10,15 @@ spline for uniform ones).
 
 from .distributions import (InitialLaw, XiLaw, STANDARD_GAUSSIAN, UNIFORM_SYM,
                             truncated_beta, truncated_exponential)
-from .kle import (EigenPair, KleProcess, TimeDomain, bridge_eigenpair,
-                  expcov_eigenpair, expcov_roots, kn_sigma, primitive_h,
-                  wiener_eigenpair)
+from .kle import (EigenPair, KleProcess, TimeDomain, expcov_roots, kn_sigma,
+                  primitive_h)
 from .quadrature import (QuadratureRule, check_tensor_size, default_order,
                          make_rule, rule_for_law, tensor_nodes_chunks)
 from .density import (DEFAULT_P_GRID, DensityGrid, Problem, density_grid,
                       density_row, f1_exact_wiener, f1n_collapsed, f1n_eval,
                       rvt_kernel)
-from .stats import (ErrorReport, e_moment_consecutive, e_moment_exact,
-                    e_pdf_consecutive, e_pdf_exact, moments_n)
+from .stats import (e_moment_consecutive, e_moment_exact, e_pdf_consecutive,
+                    e_pdf_exact, moments_n)
 from .mc_oracle import McConfig, McReport, k_extremes, mc_density_check
 
 __version__ = "0.1.0"
@@ -28,15 +27,14 @@ __all__ = [
     "InitialLaw", "XiLaw", "STANDARD_GAUSSIAN", "UNIFORM_SYM",
     "truncated_beta", "truncated_exponential",
     "TimeDomain", "EigenPair", "KleProcess",
-    "wiener_eigenpair", "bridge_eigenpair", "expcov_roots", "expcov_eigenpair",
-    "primitive_h", "kn_sigma",
+    "expcov_roots", "primitive_h", "kn_sigma",
     "QuadratureRule", "make_rule", "rule_for_law", "tensor_nodes_chunks",
     "check_tensor_size",
     "default_order",
     "Problem", "DensityGrid", "rvt_kernel", "density_row",
     "f1n_eval", "f1n_collapsed", "f1_exact_wiener", "density_grid",
     "DEFAULT_P_GRID",
-    "ErrorReport", "moments_n",
+    "moments_n",
     "e_pdf_exact", "e_pdf_consecutive", "e_moment_exact", "e_moment_consecutive",
     "McConfig", "McReport", "mc_density_check", "k_extremes",
     "__version__",

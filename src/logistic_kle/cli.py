@@ -38,8 +38,8 @@ from .density import (DEFAULT_P_GRID, Problem, density_row, f1_exact_wiener,
 from .distributions import truncated_beta, truncated_exponential
 from .kle import KleProcess
 from .mc_oracle import McConfig, mc_density_check
-from .stats import (ErrorReport, e_moment_consecutive, e_moment_exact,
-                    e_pdf_consecutive, e_pdf_exact, law_moments, moments_n)
+from .stats import (e_moment_consecutive, e_moment_exact, e_pdf_consecutive,
+                    e_pdf_exact, law_moments, moments_n)
 
 __all__ = ["main", "resolve_config", "PRESETS"]
 
@@ -307,27 +307,20 @@ def cmd_errors(cfg, outdir: Path):
         times = err["times"]
         t_grid = _grid_values({"values": times} if times else cfg["t_grid"], None)
         for t in t_grid:
-            reports = []
+            values = []
             for N in n_list:
                 problem = _problem(cfg, N)
-                if consecutive:
-                    value = e_pdf_consecutive(problem, t, N)
-                else:
-                    value = e_pdf_exact(problem, t)
-                reports.append(ErrorReport(kind=kind, t=float(t), N=N,
-                                           value=value))
-            rows.append((float(t), *(r.value for r in reports)))
+                values.append(e_pdf_consecutive(problem, t, N) if consecutive
+                              else e_pdf_exact(problem, t))
+            rows.append((float(t), *values))
     else:
         mkind = "mean" if kind.startswith("mean") else "variance"
-        reports = []
+        values = []
         for N in n_list:
             problem = _problem(cfg, N)
-            if consecutive:
-                value = e_moment_consecutive(problem, mkind, N)
-            else:
-                value = e_moment_exact(problem, mkind)
-            reports.append(ErrorReport(kind=kind, t=None, N=N, value=value))
-        rows.append(("all", *(r.value for r in reports)))
+            values.append(e_moment_consecutive(problem, mkind, N) if consecutive
+                          else e_moment_exact(problem, mkind))
+        rows.append(("all", *values))
     _write_csv(outdir / "errors.csv", header, rows)
     return ["errors.csv"]
 

@@ -81,10 +81,6 @@ class Problem:
     def rule(self) -> QuadratureRule:
         return rule_for_law(self.process.xi_law, default_order(self.N))
 
-    def h_vector(self, t):
-        return np.array([primitive_h(self.process, j, t)
-                         for j in range(1, self.N + 1)])
-
 
 @dataclass(frozen=True)
 class DensityGrid:
@@ -149,7 +145,7 @@ def _f1n_tensor_many(problem: Problem, p, t):
     """Tensor-quadrature density at a vector of p values, one time t."""
     p = _p_array(p)
     problem.process.domain.require(t)
-    h = problem.h_vector(t)
+    h = primitive_h(problem.process, t, problem.N)
     m_t = problem.process.mean_primitive(t)
     f0 = problem.initial.pdf
     out = np.zeros(p.size)
@@ -268,7 +264,8 @@ def k_law(problem: Problem, t):
     process = problem.process
     if process.xi_law.kind == "gaussian":
         return NormalLaw(*kn_sigma(process, t, problem.N))
-    return BoxSplineLaw.from_widths(np.sqrt(3.0) * np.abs(problem.h_vector(t)),
+    h = primitive_h(process, t, problem.N)
+    return BoxSplineLaw.from_widths(np.sqrt(3.0) * np.abs(h),
                                     process.mean_primitive(t))
 
 

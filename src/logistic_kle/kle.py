@@ -2,11 +2,11 @@
 
 Three covariance models are provided: the Wiener process on [0, T], the
 Brownian bridge on [0, 1], and the stationary exponential kernel
-exp(-c|s-t|) on a symmetric interval [-a, a].  Each model exposes closed-form
-eigenpairs (the exponential kernel goes through a transcendental root solve),
-the primitive integrals
+exp(-c|s-t|) on a symmetric interval [-a, a].  Each model holds its
+eigenpairs as one table of arrays (the exponential kernel's from one
+transcendental root solve), and one array expression over it gives
 
-    H_j(t) = sqrt(nu_j) * int_{t0}^{t} phi_j(s) ds,
+    H_j(t) = sqrt(nu_j) * int_{t0}^{t} phi_j(s) ds,     j = 1..n,
 
 and the exact law parameters of K_N(t) = m(t) + sum_j H_j(t) xi_j, the
 time-integral of the truncated coefficient.
@@ -25,10 +25,7 @@ __all__ = [
     "TimeDomain",
     "EigenPair",
     "KleProcess",
-    "wiener_eigenpair",
-    "bridge_eigenpair",
     "expcov_roots",
-    "expcov_eigenpair",
     "primitive_h",
     "kn_sigma",
 ]
@@ -74,24 +71,6 @@ class EigenPair:
         return out if out.ndim else float(out)
 
 
-def wiener_eigenpair(j, T):
-    """Eigenpair j (1-based) of the Wiener covariance min(s,t) on [0, T]."""
-    if j < 1:
-        raise ValueError("index j must be >= 1")
-    if T <= 0:
-        raise ValueError("T must be positive")
-    w = (2 * j - 1) * np.pi / (2.0 * T)
-    nu = 4.0 * T * T / ((2 * j - 1) ** 2 * np.pi ** 2)
-    return EigenPair(j, nu, w, np.sqrt(T / 2.0), "sin")
-
-
-def bridge_eigenpair(j):
-    """Eigenpair j of the Brownian-bridge covariance min(s,t) - st on [0, 1]."""
-    if j < 1:
-        raise ValueError("index j must be >= 1")
-    return EigenPair(j, 1.0 / (np.pi * j) ** 2, j * np.pi, 1.0 / np.sqrt(2.0), "sin")
-
-
 # ---------------------------------------------------------------------------
 # exponential covariance exp(-c|s-t|) on [-a, a]
 
@@ -122,28 +101,13 @@ def expcov_roots(c, a, count):
     return [("even" if m % 2 else "odd", float(x)) for m, x in enumerate(w)]
 
 
-def _expcov_pair(parity_index, parity, w, c, a):
-    sign = 1.0 if parity == "odd" else -1.0     # cosine : sine eigenfunction
-    norm = np.sqrt(a + sign * np.sin(2 * w * a) / (2 * w))
-    return EigenPair(parity_index, 2.0 * c / (w * w + c * c), w, norm,
-                     "cos" if sign > 0 else "sin", parity)
-
-
-def expcov_eigenpair(parity_index, c, a):
-    """Eigenpair at interleaved position ``parity_index`` (1-based:
-    odd_1, even_1, odd_2, even_2, ...) for the kernel exp(-c|s-t|) on [-a,a]."""
-    if parity_index < 1:
-        raise ValueError("index must be >= 1")
-    parity, w = expcov_roots(c, a, (parity_index + 1) // 2)[parity_index - 1]
-    return _expcov_pair(parity_index, parity, w, c, a)
-
-
 class KleProcess:
     """A covariance model plus the law of its KLE coordinates.
 
     Use the factory constructors ``wiener``, ``brownian_bridge`` and
-    ``exponential_cov``.  Eigenpairs are 1-based and cached; the exponential
-    model interleaves the two parity branches (odd_1, even_1, odd_2, ...).
+    ``exponential_cov``.  Modes are 1-based and come from one cached
+    ``spectrum`` table; the exponential model interleaves the two parity
+    branches (odd_1, even_1, odd_2, ...).
     """
 
     def __init__(self, kind, domain, params, xi_law):
@@ -151,7 +115,7 @@ class KleProcess:
         self.domain = domain
         self.params = dict(params)
         self.xi_law = xi_law
-        self._pairs: dict[int, EigenPair] = {}
+        self._table = None
 
     @classmethod
     def wiener(cls, T=1.5):
@@ -172,31 +136,54 @@ class KleProcess:
     def __repr__(self):
         return f"KleProcess({self.kind}, {self.params})"
 
-    def eigenpair(self, j) -> EigenPair:
-        if j not in self._pairs:
-            if self.kind == "wiener":
-                self._pairs[j] = wiener_eigenpair(j, self.params["T"])
-            elif self.kind == "bridge":
-                self._pairs[j] = bridge_eigenpair(j)
-            else:
-                self._fill_expcov(j)
-        return self._pairs[j]
+    def spectrum(self, n):
+        """Arrays (eigenvalues, frequencies, norms, cosine) of modes 1..n:
+        phi_j(t) = (cos if cosine_j else sin)(frequency_j t) / norm_j.
 
-    def _fill_expcov(self, j):
-        """Cache the exponential-kernel pairs up to index j from one root
-        solve, at least doubling the cache so that growing N stays cheap."""
-        if j < 1:
-            raise ValueError("index must be >= 1")
-        c, a = self.params["c"], self.params["a"]
-        count = max((j + 1) // 2, len(self._pairs))
-        for i, (parity, w) in enumerate(expcov_roots(c, a, count), 1):
-            if i in self._pairs:
-                continue
-            pair = _expcov_pair(i, parity, w, c, a)
-            if i > 1 and pair.value > self._pairs[i - 1].value:
-                warnings.warn("interleaved eigenvalue sequence is not descending "
-                              f"at index {i}", stacklevel=3)
-            self._pairs[i] = pair
+        Read-only views of one cached table that at least doubles when it
+        grows (in whole root pairs for the exponential kernel).  Rows are
+        computed independently, so a prefix does not depend on the size."""
+        if n < 1:
+            raise ValueError("need at least one mode")
+        size = 0 if self._table is None else self._table[0].size
+        if size < n:
+            self._table = self._build(max(n, 2 * size))
+        return tuple(a[:n] for a in self._table)
+
+    def _build(self, n):
+        if self.kind == "expcov":
+            c, a = self.params["c"], self.params["a"]
+            parity, w = zip(*expcov_roots(c, a, (n + 1) // 2))
+            w, cosine = np.array(w), np.array(parity) == "odd"
+            nu = 2.0 * c / (w * w + c * c)
+            sign = np.where(cosine, 1.0, -1.0)
+            norm = np.sqrt(a + sign * np.sin(2 * w * a) / (2 * w))
+        else:
+            k = np.arange(1, n + 1)
+            if self.kind == "wiener":
+                T = self.params["T"]
+                w = (2 * k - 1) * np.pi / (2.0 * T)
+                nu = 4.0 * T * T / ((2 * k - 1) ** 2 * np.pi ** 2)
+                norm = np.full(n, np.sqrt(T / 2.0))
+            else:
+                w = k * np.pi
+                nu = 1.0 / (np.pi * k) ** 2
+                norm = np.full(n, 1.0 / np.sqrt(2.0))
+            cosine = np.zeros(n, dtype=bool)
+        rise = np.flatnonzero(np.diff(nu) > 0)
+        if rise.size:
+            warnings.warn("interleaved eigenvalue sequence is not descending "
+                          f"at index {rise[0] + 2}", stacklevel=3)
+        for arr in (nu, w, norm, cosine):
+            arr.flags.writeable = False
+        return nu, w, norm, cosine
+
+    def eigenpair(self, j) -> EigenPair:
+        """Mode j (1-based) as an ``EigenPair``: row j of ``spectrum``."""
+        nu, w, norm, cosine = (arr[j - 1] for arr in self.spectrum(j))
+        parity = ("odd" if cosine else "even") if self.kind == "expcov" else None
+        return EigenPair(j, float(nu), float(w), float(norm),
+                         "cos" if cosine else "sin", parity)
 
     def mean_primitive(self, t):
         """m(t) = integral of the mean function from t0 to t.
@@ -208,21 +195,20 @@ class KleProcess:
         return 0.0
 
 
-def primitive_h(process: KleProcess, j, t):
-    """H_j(t) = sqrt(nu_j) * int_{t0}^{t} phi_j(s) ds, in closed form.
+def primitive_h(process: KleProcess, t, n):
+    """H_1(t) .. H_n(t) as an array, in closed form.
 
-    For a sine eigenfunction the primitive is (cos(w t0) - cos(w t)) / w and
-    for a cosine one (sin(w t) - sin(w t0)) / w, each divided by the
-    normalization constant and scaled by sqrt(nu_j).
+    H_j(t) = sqrt(nu_j) * int_{t0}^{t} phi_j(s) ds: for a sine
+    eigenfunction the integral is (cos(w t0) - cos(w t)) / w and for a cosine
+    one (sin(w t) - sin(w t0)) / w, each divided by the normalization
+    constant.
     """
     process.domain.require(t)
-    pair = process.eigenpair(j)
-    w, t0 = pair.frequency, process.domain.t0
-    if pair.shape == "sin":
-        integral = (np.cos(w * t0) - np.cos(w * t)) / w
-    else:
-        integral = (np.sin(w * t) - np.sin(w * t0)) / w
-    return np.sqrt(pair.value) * integral / pair.norm_const
+    nu, w, norm, cosine = process.spectrum(n)
+    wt, wt0 = w * t, w * process.domain.t0
+    integral = np.where(cosine, np.sin(wt) - np.sin(wt0),
+                        np.cos(wt0) - np.cos(wt)) / w
+    return np.sqrt(nu) * integral / norm
 
 
 def kn_sigma(process: KleProcess, t, N):
@@ -231,11 +217,5 @@ def kn_sigma(process: KleProcess, t, N):
     Valid for any unit-variance uncorrelated coordinate law: the standard
     deviation is sqrt(sum_j H_j(t)^2).
     """
-    if N < 1:
-        raise ValueError("truncation order N must be >= 1")
-    process.domain.require(t)
-    s2 = 0.0
-    for j in range(1, N + 1):
-        h = primitive_h(process, j, t)
-        s2 += h * h
-    return process.mean_primitive(t), float(np.sqrt(s2))
+    h = primitive_h(process, t, N)
+    return process.mean_primitive(t), float(np.sqrt(np.sum(h * h)))

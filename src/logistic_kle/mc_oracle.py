@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import expit, logit
 
 from .density import Problem, density_row, k_law
-from .kle import kn_sigma
+from .kle import kn_sigma, primitive_h
 from .stats import moments_n
 
 __all__ = ["McConfig", "McReport", "mc_density_check", "k_extremes"]
@@ -72,7 +72,7 @@ def _sample_block(problem: Problem, t, rng, n):
     documented order, and the stream is the one a single (n, 1+N) draw
     would give.  Each block is transformed into its slice of the output,
     so no temporary grows with n."""
-    h = problem.h_vector(t)
+    h = primitive_h(problem.process, t, problem.N)
     mean = problem.process.mean_primitive(t)
     x = np.empty(n)
     for start in range(0, n, _BLOCK_ROWS):

@@ -22,7 +22,7 @@ per (model, order, grid) fingerprint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 from scipy.special import expit, logit
@@ -31,7 +31,6 @@ from .density import (Problem, density_row, f1_exact_wiener, k_law, law_rule,
                       wiener_law)
 
 __all__ = [
-    "ErrorReport",
     "law_moments",
     "moments_n",
     "e_pdf_exact",
@@ -45,21 +44,6 @@ __all__ = [
 ERROR_P_POINTS = 2001    # Simpson grid on [0, 1] for density-error integrals
 ERROR_T_POINTS = 151     # Simpson grid on [t0, T] for moment-error integrals
 _Q_X, _Q_W = np.polynomial.legendre.leggauss(64)
-
-
-@dataclass(frozen=True)
-class ErrorReport:
-    """One error-measure value: which measure, at what time (None for
-    time-integrated kinds), at what truncation order."""
-
-    kind: str
-    t: float | None
-    N: int
-    value: float
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("error measures are nonnegative")
 
 
 def _simpson(y, x):

@@ -67,8 +67,7 @@ def f1_uniform_exact(p, t, process, initial, N, order=40):
     The integrand is piecewise smooth with kinks where rho_K's polynomial
     pieces meet, so each smooth piece gets its own panel.
     """
-    h = np.array([primitive_h(process, j, t) for j in range(1, N + 1)])
-    c = np.sqrt(3.0) * np.abs(h)
+    c = np.sqrt(3.0) * np.abs(primitive_h(process, t, N))
     v = float(logit(p))
     ssum = float(c.sum())
     lo = max(float(logit(initial.p01)), v - ssum)

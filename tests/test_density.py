@@ -91,27 +91,27 @@ class TestRvtKernel:
 
 
 class TestKn:
-    """K_N(t) = m(t) + h(t) . xi with h = Problem.h_vector(t)."""
+    """K_N(t) = m(t) + h(t) . xi with h = primitive_h(process, t, N)."""
 
     def test_zero_at_time_origin(self, wiener_problem):
-        assert np.all(wiener_problem.h_vector(0.0) == 0.0)
+        assert np.all(primitive_h(wiener_problem.process, 0.0, 2) == 0.0)
         assert kn_sigma(wiener_problem.process, 0.0, 2) == (0.0, 0.0)
 
     def test_sigma_is_norm_of_h_vector(self, wiener_problem):
         _, sigma = kn_sigma(wiener_problem.process, 1.0, wiener_problem.N)
-        assert_allclose(sigma, np.linalg.norm(wiener_problem.h_vector(1.0)),
-                        rtol=1e-14)
+        h = primitive_h(wiener_problem.process, 1.0, wiener_problem.N)
+        assert_allclose(sigma, np.linalg.norm(h), rtol=1e-14)
 
     def test_single_mode_recovers_primitive(self):
-        prob = Problem(KleProcess.wiener(1.5), truncated_beta(7.0, 10.0), 1)
-        h1 = primitive_h(prob.process, 1, 1.5)
-        assert_allclose(prob.h_vector(1.5), [h1], rtol=1e-14)
-        assert_allclose(kn_sigma(prob.process, 1.5, 1)[1], abs(h1), rtol=1e-14)
+        process = KleProcess.wiener(1.5)
+        h1 = primitive_h(process, 1.5, 1)
+        assert h1.shape == (1,)
+        assert_allclose(primitive_h(process, 1.5, 3)[0], h1[0], rtol=1e-14)
+        assert_allclose(kn_sigma(process, 1.5, 1)[1], abs(h1[0]), rtol=1e-14)
 
     def test_domain_enforced(self):
-        prob = Problem(KleProcess.wiener(1.5), truncated_beta(7.0, 10.0), 1)
         with pytest.raises(ValueError):
-            prob.h_vector(5.0)
+            primitive_h(KleProcess.wiener(1.5), 5.0, 1)
 
 
 class TestPointEvaluation:
@@ -189,7 +189,8 @@ class TestBoxSplineLaw:
         assert (law.mean, law.sigma) == kn_sigma(wiener_problem.process, 0.75, 2)
         box = k_law(expcov_problem, 0.25)
         assert isinstance(box, BoxSplineLaw)
-        c = np.sqrt(3.0) * np.abs(expcov_problem.h_vector(0.25))
+        h = primitive_h(expcov_problem.process, 0.25, expcov_problem.N)
+        c = np.sqrt(3.0) * np.abs(h)
         assert_allclose(box.breaks()[[0, -1]], [-c.sum(), c.sum()], rtol=1e-15)
 
 

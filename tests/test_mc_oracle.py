@@ -5,8 +5,8 @@ from numpy.testing import assert_allclose
 from scipy.special import expit, logit
 
 from logistic_kle import (KleProcess, McConfig, Problem, k_extremes,
-                          mc_density_check, mc_oracle, truncated_beta,
-                          truncated_exponential)
+                          mc_density_check, mc_oracle, primitive_h,
+                          truncated_beta, truncated_exponential)
 from logistic_kle.mc_oracle import _sample_block
 
 
@@ -74,7 +74,7 @@ class TestSampling:
         u = np.random.default_rng(9).random((n, 1 + problem.N))
         p0 = problem.initial.ppf(u[:, 0])
         xi = process.xi_law.from_uniform(u[:, 1:])
-        K = process.mean_primitive(t) + xi @ problem.h_vector(t)
+        K = process.mean_primitive(t) + xi @ primitive_h(process, t, problem.N)
         ref = expit(logit(p0) + K)
         x = _sample_block(problem, t, np.random.default_rng(9), n)
         assert np.array_equal(x, ref)
@@ -85,7 +85,7 @@ class TestSampling:
 
     def test_k_extremes_uniform_bound(self, expcov_problem):
         lo, hi = k_extremes(expcov_problem, 0.25)
-        h = expcov_problem.h_vector(0.25)
+        h = primitive_h(expcov_problem.process, 0.25, expcov_problem.N)
         half = np.sqrt(3.0) * np.sum(np.abs(h))
         assert hi <= half + 1e-15
         assert_allclose(lo, -hi, atol=1e-15)

@@ -7,11 +7,10 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad, simpson
 
-from logistic_kle import (ErrorReport, KleProcess, Problem,
-                          e_moment_consecutive, e_moment_exact,
-                          e_pdf_consecutive, e_pdf_exact, f1_exact_wiener,
-                          density_row, kn_sigma, moments_n, truncated_beta,
-                          truncated_exponential)
+from logistic_kle import (KleProcess, Problem, e_moment_consecutive,
+                          e_moment_exact, e_pdf_consecutive, e_pdf_exact,
+                          f1_exact_wiener, density_row, kn_sigma, moments_n,
+                          primitive_h, truncated_beta, truncated_exponential)
 from logistic_kle.density import k_law
 from logistic_kle.stats import (ERROR_P_POINTS, ERROR_T_POINTS,
                                 _exact_moment_curves, _simpson, law_moments)
@@ -88,7 +87,7 @@ class TestMoments:
                             err_msg=f"{prob.process.kind} t={t}")
         prob = Problem(expcov_problem.process, expcov_problem.initial, N)
         for t in (-0.25, 0.3, 0.49):
-            c = list(np.sqrt(3.0) * np.abs(prob.h_vector(t)))
+            c = list(np.sqrt(3.0) * np.abs(primitive_h(prob.process, t, N)))
             pdf, kinks = boxspline_law(c, prob.process.mean_primitive(t))
             want = moments_nested_quad(pdf, kinks, prob.initial)
             assert_allclose(law_moments(k_law(prob, t), prob.initial), want,
@@ -182,13 +181,3 @@ class TestMomentErrors:
         with pytest.raises(ValueError):
             e_moment_consecutive(bridge_problem, "mean", N=1)
 
-
-class TestErrorReport:
-    def test_negative_value_rejected(self):
-        with pytest.raises(ValueError):
-            ErrorReport(kind="pdf_vs_exact", t=0.5, N=1, value=-1e-3)
-
-    def test_fields_round_trip(self):
-        rep = ErrorReport(kind="mean_consecutive", t=None, N=3, value=0.25)
-        assert (rep.kind, rep.t, rep.N, rep.value) == \
-            ("mean_consecutive", None, 3, 0.25)
