@@ -14,8 +14,7 @@ from .kle import (EigenPair, KleProcess, TimeDomain, expcov_roots, kn_sigma,
                   primitive_h)
 from .quadrature import (QuadratureRule, check_tensor_size, default_order,
                          make_rule, rule_for_law, tensor_nodes_chunks)
-from .density import (DEFAULT_P_GRID, DensityGrid, Problem, density_grid,
-                      density_row, f1_exact_wiener, f1n_collapsed, f1n_eval,
+from .density import (Problem, f1_exact_wiener, f1n_collapsed, f1n_eval,
                       rvt_kernel)
 from .stats import (e_moment_consecutive, e_moment_exact, e_pdf_consecutive,
                     e_pdf_exact, moments_n)
@@ -31,9 +30,8 @@ __all__ = [
     "QuadratureRule", "make_rule", "rule_for_law", "tensor_nodes_chunks",
     "check_tensor_size",
     "default_order",
-    "Problem", "DensityGrid", "rvt_kernel", "density_row",
-    "f1n_eval", "f1n_collapsed", "f1_exact_wiener", "density_grid",
-    "DEFAULT_P_GRID",
+    "Problem", "rvt_kernel",
+    "f1n_eval", "f1n_collapsed", "f1_exact_wiener",
     "moments_n",
     "e_pdf_exact", "e_pdf_consecutive", "e_moment_exact", "e_moment_consecutive",
     "McConfig", "McReport", "mc_density_check", "k_extremes",

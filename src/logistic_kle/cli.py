@@ -33,8 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .density import (DEFAULT_P_GRID, Problem, density_row, f1_exact_wiener,
-                      wiener_law)
+from .density import Problem, f1_exact_wiener, f1n_collapsed, wiener_law
 from .distributions import truncated_beta, truncated_exponential
 from .kle import KleProcess
 from .mc_oracle import McConfig, mc_density_check
@@ -142,8 +141,12 @@ def _validate(cfg):
         raise SystemExit("N list must contain positive integers")
     if cfg["errors"]["kind"] not in _ERROR_KINDS:
         raise SystemExit(f"error kind must be one of {', '.join(_ERROR_KINDS)}")
+    for key in ("p_grid", "t_grid"):
+        if not isinstance(cfg[key], dict):
+            raise SystemExit(f"{key} must be a grid object, not "
+                             f"{json.dumps(cfg[key])}")
     domain = _build_process(proc).domain
-    times = [("t_grid", t) for t in _grid_values(cfg["t_grid"], None)]
+    times = [("t_grid", t) for t in _grid_values(cfg["t_grid"])]
     times += [("errors.times", t) for t in cfg["errors"]["times"] or []]
     if cfg["mc"].get("t") is not None:
         times.append(("mc.t", cfg["mc"]["t"]))
@@ -176,9 +179,7 @@ def _problem(cfg, N) -> Problem:
                    int(N))
 
 
-def _grid_values(spec, default):
-    if spec is None:
-        return np.asarray(default, dtype=float)
+def _grid_values(spec):
     if "values" in spec and spec["values"] is not None:
         return np.asarray(spec["values"], dtype=float)
     return np.linspace(spec["start"], spec["stop"], int(spec["num"]))
@@ -247,13 +248,13 @@ def cmd_spectrum(cfg, outdir: Path):
 
 
 def cmd_pdf(cfg, outdir: Path):
-    p_grid = _grid_values(cfg["p_grid"], DEFAULT_P_GRID)
-    t_grid = _grid_values(cfg["t_grid"], None)
+    p_grid = _grid_values(cfg["p_grid"])
+    t_grid = _grid_values(cfg["t_grid"])
     artifacts = []
     for N in cfg["N"]:
         problem = _problem(cfg, N)
         rows = [(t, p, v) for t in t_grid
-                for p, v in zip(p_grid, density_row(problem, p_grid, t))]
+                for p, v in zip(p_grid, f1n_collapsed(problem, p_grid, t))]
         name = f"pdf_N{int(N)}.csv"
         _write_csv(outdir / name, ["t", "p", "f1n"], rows)
         artifacts.append(name)
@@ -269,7 +270,7 @@ def cmd_pdf(cfg, outdir: Path):
 
 
 def cmd_moments(cfg, outdir: Path):
-    t_grid = _grid_values(cfg["t_grid"], None)
+    t_grid = _grid_values(cfg["t_grid"])
     exact = cfg["process"]["kind"] == "wiener"
     header = ["t", "N", "mean", "variance"] + (
         ["exact_mean", "exact_variance"] if exact else [])
@@ -305,7 +306,7 @@ def cmd_errors(cfg, outdir: Path):
     rows = []
     if kind.startswith("pdf"):
         times = err["times"]
-        t_grid = _grid_values({"values": times} if times else cfg["t_grid"], None)
+        t_grid = _grid_values({"values": times} if times else cfg["t_grid"])
         for t in t_grid:
             values = []
             for N in n_list:
@@ -327,7 +328,7 @@ def cmd_errors(cfg, outdir: Path):
 
 def cmd_mc_check(cfg, outdir: Path):
     mc = cfg["mc"]
-    t_grid = _grid_values(cfg["t_grid"], None)
+    t_grid = _grid_values(cfg["t_grid"])
     t = float(t_grid[len(t_grid) // 2]) if mc.get("t") is None else float(mc["t"])
     N = int(cfg["N"][0])
     problem = _problem(cfg, N)

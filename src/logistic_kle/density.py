@@ -9,9 +9,10 @@ convolution of the initial logit-density with the law of K_N(t) (``k_law``):
 N(m, sigma_N^2) for Gaussian coordinates (``NormalLaw``) and, for uniform
 ones, the box spline of sum_j U(-c_j, c_j) with c_j = sqrt(3)|H_j(t)|
 (``BoxSplineLaw``).  ``f1n_collapsed`` evaluates it with Gauss-Legendre
-panels split at the law's breaks, to machine precision; ``density_row`` is
-that call plus the t0 shortcut, and ``f1_exact_wiener`` is the same integral
-against the non-truncated Wiener law N(0, t^3/3) (``wiener_law``).
+panels in the law's own variable k, split at its breaks, to machine
+precision at every t down to t0, where the law is a point mass and the row
+is the initial density; ``f1_exact_wiener`` is the same integral against the
+non-truncated Wiener law N(0, t^3/3) (``wiener_law``).
 ``law_rule`` turns a law into the nodes and weights of ``stats.law_moments``.
 
 ``f1n_eval`` integrates the literal N-dimensional formula
@@ -22,7 +23,7 @@ reference for the 1-D engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -36,7 +37,6 @@ from .quadrature import (QuadratureRule, default_order, rule_for_law,
 
 __all__ = [
     "Problem",
-    "DensityGrid",
     "NormalLaw",
     "BoxSplineLaw",
     "k_law",
@@ -46,19 +46,13 @@ __all__ = [
     "f1n_eval",
     "f1n_collapsed",
     "f1_exact_wiener",
-    "density_row",
-    "density_grid",
-    "DEFAULT_P_GRID",
 ]
-
-DEFAULT_P_GRID = np.linspace(0.005, 0.995, 201)
 
 # A box spline of N widths has up to 2^N pieces, one Gauss panel each: at
 # N = 10 a 2001-point density row takes about 6 s.
 MAX_BOX_N = 10
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
-_T0_TOL = 1e-12
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
 
 
@@ -80,17 +74,6 @@ class Problem:
     @cached_property
     def rule(self) -> QuadratureRule:
         return rule_for_law(self.process.xi_law, default_order(self.N))
-
-
-@dataclass(frozen=True)
-class DensityGrid:
-    """Density values on a (t, p) product grid; values[i, j] = f(p_grid[j],
-    t_grid[i])."""
-
-    p_grid: np.ndarray
-    t_grid: np.ndarray
-    values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
 
 def rvt_kernel(p, K):
@@ -283,7 +266,7 @@ def law_rule(law):
 
 def wiener_law(t, T=1.5):
     """Law N(0, t^3/3) of the full Wiener time-integral at t in [0, T]."""
-    if not 0.0 <= t <= T + _T0_TOL:
+    if not 0.0 <= t <= T + 1e-12:
         raise ValueError(f"time {t} outside [0, {T}]")
     return NormalLaw(0.0, float(np.sqrt(t ** 3 / 3.0)))
 
@@ -291,26 +274,28 @@ def wiener_law(t, T=1.5):
 def _logit_convolution(p, law, initial: InitialLaw):
     """Density of P with logit(P) = logit(P0) + K, K ~ ``law``:
 
-        f(p) = 1/(p(1-p)) * int f0(q) q(1-q) pdf_K(v - u) du,    v = logit(p),
+        f(p) = 1/(p(1-p)) * int f0(q) q(1-q) pdf_K(k) dk,   q = expit(v - k),
 
-    over u = logit(q) in [logit(p01), logit(p02)].  The u-interval between
-    two breaks of the law, clipped to that support, is one 24-point
-    Gauss-Legendre panel, so no panel straddles a kink.  The point mass
-    K = 0 (as at t0) leaves the initial density.
+    with v = logit(p), over k in [v - logit(p02), v - logit(p01)], where q
+    lies in the initial support.  The k-interval between two breaks of the
+    law, clipped to that range, is one 24-point Gauss-Legendre panel, so no
+    panel straddles a kink.  The nodes sit in k, not in logit(q) = v - k,
+    so a law narrower than an ulp of v keeps its width.  The point mass
+    (as at t0) leaves the initial density.
     """
     p = _p_array(p)
     brk = law.breaks()
     if brk[0] == brk[-1]:
         return initial.pdf(p)
     v = logit(p)
-    u_min, u_max = logit(initial.p01), logit(initial.p02)
+    k_min, k_max = v - logit(initial.p02), v - logit(initial.p01)
     total = np.zeros(p.size)
     for k_lo, k_hi in zip(brk[:-1], brk[1:]):
-        lo = np.maximum(u_min, v - k_hi)
-        width = np.maximum(np.minimum(u_max, v - k_lo) - lo, 0.0)
-        u = lo[:, None] + width[:, None] * (_GL_X + 1.0) / 2.0
-        q = expit(u)
-        vals = initial.pdf(q) * q * (1.0 - q) * law.pdf(v[:, None] - u)
+        lo = np.maximum(k_lo, k_min)
+        width = np.maximum(np.minimum(k_hi, k_max) - lo, 0.0)
+        k = lo[:, None] + width[:, None] * (_GL_X + 1.0) / 2.0
+        q = expit(v[:, None] - k)
+        vals = initial.pdf(q) * q * (1.0 - q) * law.pdf(k)
         total += (vals @ _GL_W) * width / 2.0
     return total / (p * (1.0 - p))
 
@@ -335,38 +320,3 @@ def f1_exact_wiener(initial: InitialLaw, p, t, T=1.5):
     ``f1n_collapsed``; at t = 0 it is the initial density by continuity.
     """
     return _scalar_or_row(p, _logit_convolution(p, wiener_law(t, T), initial))
-
-
-def density_row(problem: Problem, p, t):
-    """Order-N density f1n at an array of p values and one time t: the
-    initial density at t0, ``f1n_collapsed`` everywhere else."""
-    p = _p_array(p)
-    if abs(t - problem.process.domain.t0) <= _T0_TOL:
-        return problem.initial.pdf(p)
-    return f1n_collapsed(problem, p, t)
-
-
-# ---------------------------------------------------------------------------
-# grids
-
-
-def density_grid(problem: Problem, p_grid=None, t_grid=None):
-    """Fill a DensityGrid over sorted p and t grids, one ``density_row`` per
-    time."""
-    p_grid = DEFAULT_P_GRID.copy() if p_grid is None else np.asarray(p_grid, dtype=float)
-    if t_grid is None:
-        dom = problem.process.domain
-        t_grid = np.linspace(dom.t0, dom.T, 4)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(np.diff(p_grid) <= 0) or np.any(np.diff(t_grid) < 0):
-        raise ValueError("grids must be sorted ascending")
-
-    values = np.empty((t_grid.size, p_grid.size))
-    for i, t in enumerate(t_grid):
-        values[i] = density_row(problem, p_grid, t)
-    meta = {
-        "N": problem.N,
-        "process": problem.process.kind,
-        "initial": problem.initial.kind,
-    }
-    return DensityGrid(p_grid, t_grid, values, meta)

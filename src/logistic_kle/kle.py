@@ -199,15 +199,17 @@ def primitive_h(process: KleProcess, t, n):
     """H_1(t) .. H_n(t) as an array, in closed form.
 
     H_j(t) = sqrt(nu_j) * int_{t0}^{t} phi_j(s) ds: for a sine
-    eigenfunction the integral is (cos(w t0) - cos(w t)) / w and for a cosine
-    one (sin(w t) - sin(w t0)) / w, each divided by the normalization
-    constant.
+    eigenfunction the integral is 2 sin(w(t+t0)/2) sin(w(t-t0)/2) / w and for
+    a cosine one 2 cos(w(t+t0)/2) sin(w(t-t0)/2) / w, each divided by the
+    normalization constant.  These half-angle forms keep every digit when
+    w(t - t0) is small, where cos(w t0) - cos(w t) cancels.
     """
     process.domain.require(t)
     nu, w, norm, cosine = process.spectrum(n)
-    wt, wt0 = w * t, w * process.domain.t0
-    integral = np.where(cosine, np.sin(wt) - np.sin(wt0),
-                        np.cos(wt0) - np.cos(wt)) / w
+    t0 = process.domain.t0
+    mid = 0.5 * w * (t + t0)
+    integral = (2.0 * np.where(cosine, np.cos(mid), np.sin(mid))
+                * np.sin(0.5 * w * (t - t0)) / w)
     return np.sqrt(nu) * integral / norm
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, logit
 
-from .density import Problem, density_row, k_law
+from .density import Problem, f1n_collapsed, k_law
 from .kle import kn_sigma, primitive_h
 from .stats import moments_n
 
@@ -94,7 +94,7 @@ def k_extremes(problem: Problem, t):
 
 
 def mc_density_check(problem: Problem, t, cfg: McConfig):
-    """Histogram comparison of sampled P_N against ``density_row``.
+    """Histogram comparison of sampled P_N against ``f1n_collapsed``.
 
     Bins are equal-width on the image of the initial support [p01, p02]
     under the extreme-K flow (so support edges land on the outer bin edges);
@@ -112,7 +112,7 @@ def mc_density_check(problem: Problem, t, cfg: McConfig):
 
     mids = 0.5 * (edges[:-1] + edges[1:])
     width = edges[1] - edges[0]
-    pe = np.clip(density_row(problem, mids, t) * width, 0.0, 1.0)
+    pe = np.clip(f1n_collapsed(problem, mids, t) * width, 0.0, 1.0)
 
     n_tot = cfg.samples
     freq = counts / n_tot

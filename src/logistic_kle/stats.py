@@ -27,8 +27,8 @@ from dataclasses import replace
 import numpy as np
 from scipy.special import expit, logit
 
-from .density import (Problem, density_row, f1_exact_wiener, k_law, law_rule,
-                      wiener_law)
+from .density import (Problem, f1_exact_wiener, f1n_collapsed, k_law,
+                      law_rule, wiener_law)
 
 __all__ = [
     "law_moments",
@@ -79,7 +79,7 @@ def _pdf_error(problem: Problem, t, other):
     """Simpson integral over [0,1] of |other - f1n|, endpoint densities 0."""
     p_full = np.linspace(0.0, 1.0, ERROR_P_POINTS)
     inner = p_full[1:-1]
-    f_n = density_row(problem, inner, t)
+    f_n = f1n_collapsed(problem, inner, t)
     f_ref = other(inner, t)
     diff = np.zeros(ERROR_P_POINTS)
     diff[1:-1] = np.abs(f_ref - f_n)
@@ -113,7 +113,7 @@ def e_pdf_consecutive(problem: Problem, t, N=None):
     prob_hi = replace(problem, N=N)
     prob_lo = replace(problem, N=N - 1)
     return _pdf_error(prob_hi, t,
-                      lambda p, tt: density_row(prob_lo, p, tt))
+                      lambda p, tt: f1n_collapsed(prob_lo, p, tt))
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,14 @@ class TestBadInput:
             assert "\n" not in msg
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key", ["p_grid", "t_grid"])
+    def test_null_grid_refused_in_one_line(self, tmp_path, key):
+        with pytest.raises(SystemExit) as exc:
+            run(["pdf", "--preset", "example1", "--config",
+                 _cfg(tmp_path, {key: None}), "--out", tmp_path / "o"])
+        assert exc.value.code == f"{key} must be a grid object, not null"
+        assert not (tmp_path / "o").exists()
+
     def test_library_value_error_exits_two(self, tmp_path, capsys):
         code = run(["pdf", "--preset", "example1", "--config",
                     _cfg(tmp_path, {"p_grid": {"values": [0.5, 1.5]}}),

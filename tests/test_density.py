@@ -9,10 +9,9 @@ from numpy.testing import assert_allclose
 from scipy.integrate import simpson
 from scipy.special import expit, logit
 
-from logistic_kle import (KleProcess, Problem, density_grid, density_row,
-                          f1_exact_wiener, f1n_collapsed, f1n_eval, kn_sigma,
-                          primitive_h, rvt_kernel, truncated_beta,
-                          truncated_exponential)
+from logistic_kle import (KleProcess, Problem, f1_exact_wiener,
+                          f1n_collapsed, f1n_eval, kn_sigma, primitive_h,
+                          rvt_kernel, truncated_beta, truncated_exponential)
 from logistic_kle.density import (MAX_BOX_N, BoxSplineLaw, NormalLaw,
                                   _f1n_tensor_many, k_law, law_rule,
                                   wiener_law)
@@ -117,10 +116,12 @@ class TestKn:
 class TestPointEvaluation:
     def test_initial_time_returns_initial_pdf(self, wiener_problem,
                                               expcov_problem):
+        # at t0 every H_j is 0, so the law of K is a point mass
         for prob in (wiener_problem, expcov_problem):
             p = np.array([0.15, 0.4, 0.85])
             t0 = prob.process.domain.t0
-            assert np.array_equal(density_row(prob, p, t0), prob.initial.pdf(p))
+            assert np.array_equal(f1n_collapsed(prob, p, t0),
+                                  prob.initial.pdf(p))
 
     def test_outside_image_support_is_zero(self, wiener_problem):
         # at small t the density support is barely wider than [p01, p02]
@@ -237,7 +238,7 @@ class TestCollapsed:
             for t in EX3_TIMES:
                 want = [f1_uniform_exact(x, t, prob.process, prob.initial, N)
                         for x in p]
-                assert_allclose(density_row(prob, p, t), want, rtol=0,
+                assert_allclose(f1n_collapsed(prob, p, t), want, rtol=0,
                                 atol=1e-12, err_msg=f"N={N} t={t}")
 
     def test_normalization(self, wiener_problem):
@@ -246,6 +247,32 @@ class TestCollapsed:
             f = f1n_collapsed(wiener_problem, p[1:-1], t)
             mass = simpson(np.concatenate([[0.0], f, [0.0]]), x=p)
             assert_allclose(mass, 1.0, atol=1e-6)
+
+    def test_scalar_p_matches_row(self, expcov_problem):
+        got = f1n_collapsed(expcov_problem, 0.45, 0.25)
+        assert isinstance(got, float)
+        assert got == f1n_collapsed(expcov_problem, np.array([0.45]), 0.25)[0]
+
+
+class TestNearT0:
+    """Rows just after t0 equal the initial density to rounding: the law of
+    K is then narrower than an ulp of logit(p), and H_j(t) is a difference
+    of nearby trigonometric values.  Away from p01 and p02, where the spread
+    of K smooths the initial density's jumps, the true change is O(sigma^2),
+    below 1e-15 at these times."""
+
+    P = np.linspace(0.105, 0.895, 159)
+
+    @pytest.mark.parametrize("make, dt", [
+        (KleProcess.wiener, 1e-8), (KleProcess.wiener, 1e-6),
+        (KleProcess.wiener, 1e-4),
+        (KleProcess.exponential_cov, 2e-12), (KleProcess.exponential_cov, 1e-10),
+    ])
+    def test_row_is_initial_pdf(self, make, dt):
+        prob = Problem(make(), truncated_beta(7.0, 10.0), 3)
+        t = prob.process.domain.t0 + dt
+        assert_allclose(f1n_collapsed(prob, self.P, t),
+                        prob.initial.pdf(self.P), rtol=0, atol=1e-13)
 
 
 class TestExactWiener:
@@ -272,48 +299,31 @@ class TestExactWiener:
 
 
 class TestDensityGrid:
-    def test_initial_row_and_meta(self, wiener_problem):
-        p = np.linspace(0.05, 0.95, 31)
-        t = np.array([0.0, 0.75, 1.5])
-        grid = density_grid(wiener_problem, p_grid=p, t_grid=t)
-        assert grid.values.shape == (3, 31)
-        assert_allclose(grid.values[0], wiener_problem.initial.pdf(p), atol=0.0)
-        assert grid.meta == {"N": 2, "process": "wiener", "initial": "beta"}
-
-    def test_uniform_grid_rows_are_density_rows(self, expcov_problem):
-        p, t = np.array([0.4, 0.5]), np.array([0.0, 0.25])
-        grid = density_grid(expcov_problem, p_grid=p, t_grid=t)
-        assert grid.meta["process"] == "expcov"
-        for i in range(t.size):
-            assert np.array_equal(grid.values[i],
-                                  density_row(expcov_problem, p, t[i]))
+    """Row contracts: ``f1n_collapsed`` is the one evaluator of a density
+    row in p, for both coordinate laws and at every t including t0."""
 
     def test_grid_validation(self, wiener_problem):
-        with pytest.raises(ValueError):
-            density_grid(wiener_problem, p_grid=np.array([0.5, 0.4]))
-        with pytest.raises(ValueError):
-            density_grid(wiener_problem, p_grid=np.array([0.0, 0.5]))
-        with pytest.raises(ValueError):
-            density_grid(wiener_problem, t_grid=np.array([0.5, 2.5]))
+        law = wiener_problem.initial
+        for p in (np.array([0.5, 1.0]), np.array([0.0, 0.5]), 1.5):
+            with pytest.raises(ValueError, match=r"p must lie in \(0, 1\)"):
+                f1n_collapsed(wiener_problem, p, 0.75)
+            with pytest.raises(ValueError, match=r"p must lie in \(0, 1\)"):
+                f1_exact_wiener(law, p, 0.75)
+        with pytest.raises(ValueError, match="outside"):
+            f1n_collapsed(wiener_problem, 0.5, 2.5)
 
     def test_density_row_picks_path_by_coordinate_law(self, wiener_problem,
                                                       expcov_problem):
-        # one engine for both coordinate laws, through the law of K
+        # one engine for both coordinate laws, through the law of K: the
+        # row at t0 is the initial density, and a row off t0 is the
+        # pointwise density to rounding
         p = np.array([0.3, 0.45, 0.6])
-        assert np.array_equal(density_row(wiener_problem, p, 0.75),
-                              f1n_collapsed(wiener_problem, p, 0.75))
-        assert np.array_equal(density_row(expcov_problem, p, 0.25),
-                              f1n_collapsed(expcov_problem, p, 0.25))
-        with pytest.raises(ValueError):
-            density_row(wiener_problem, np.array([0.5, 1.0]), 0.0)
-
-    def test_single_point_grid_matches_point_eval(self, expcov_problem):
-        grid = density_grid(expcov_problem, p_grid=np.array([0.45]),
-                            t_grid=np.array([0.25]))
-        assert_allclose(grid.values[0, 0],
-                        f1n_collapsed(expcov_problem, 0.45, 0.25), rtol=1e-14)
-
-    def test_default_grids(self, wiener_problem):
-        grid = density_grid(wiener_problem, t_grid=np.array([0.5]))
-        assert grid.p_grid.shape == (201,)
-        assert grid.p_grid[0] == 0.005 and grid.p_grid[-1] == 0.995
+        for prob, t in ((wiener_problem, 0.75), (expcov_problem, 0.25)):
+            t0 = prob.process.domain.t0
+            assert np.array_equal(f1n_collapsed(prob, p, t0),
+                                  prob.initial.pdf(p))
+            assert_allclose(f1n_collapsed(prob, p, t),
+                            [f1n_collapsed(prob, x, t) for x in p],
+                            rtol=1e-14, atol=0.0)
+            with pytest.raises(ValueError, match=r"p must lie in \(0, 1\)"):
+                f1n_collapsed(prob, np.array([0.5, 1.0]), t0)

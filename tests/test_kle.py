@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -235,6 +236,28 @@ class TestProcessFacade:
             assert (pair.value, pair.frequency) == (nu[j - 1], w[j - 1])
             # the same pair as from the smallest solve that reaches it
             assert pair == KleProcess.exponential_cov().eigenpair(j)
+
+    @pytest.mark.parametrize("make", [KleProcess.wiener,
+                                      KleProcess.brownian_bridge,
+                                      KleProcess.exponential_cov])
+    def test_primitive_h_near_t0_matches_mpmath(self, make):
+        # small w(t - t0): the difference of two trigonometric values at
+        # t and t0 cancels there, so the reference takes it in mpmath
+        proc = make()
+        nu, w, norm, cosine = proc.spectrum(6)
+        t0 = proc.domain.t0
+        for dt in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2):
+            t = t0 + dt
+            with mp.workdps(80):
+                ref = []
+                for j in range(6):
+                    wj, a, b = mp.mpf(w[j]), mp.mpf(t0), mp.mpf(t)
+                    integral = (mp.sin(wj * b) - mp.sin(wj * a) if cosine[j]
+                                else mp.cos(wj * a) - mp.cos(wj * b)) / wj
+                    ref.append(float(mp.sqrt(mp.mpf(nu[j])) * integral
+                                     / mp.mpf(norm[j])))
+            assert_allclose(primitive_h(proc, t, 6), ref, rtol=1e-13, atol=0,
+                            err_msg=f"{proc.kind} t = t0 + {dt}")
 
     def test_mean_primitive_is_zero(self):
         for proc in (KleProcess.wiener(), KleProcess.brownian_bridge(),

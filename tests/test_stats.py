@@ -9,7 +9,7 @@ from scipy.integrate import quad, simpson
 
 from logistic_kle import (KleProcess, Problem, e_moment_consecutive,
                           e_moment_exact, e_pdf_consecutive, e_pdf_exact,
-                          f1_exact_wiener, density_row, kn_sigma, moments_n,
+                          f1_exact_wiener, f1n_collapsed, kn_sigma, moments_n,
                           primitive_h, truncated_beta, truncated_exponential)
 from logistic_kle.density import k_law
 from logistic_kle.stats import (ERROR_P_POINTS, ERROR_T_POINTS,
@@ -60,7 +60,7 @@ class TestMoments:
         for prob, times in ((wiener_problem, (0.5, 1.0, 1.5)),
                             (bridge_problem, (0.25, 0.5, 0.75))):
             for t in times:
-                want = simpson_moments(lambda p: density_row(prob, p, t))
+                want = simpson_moments(lambda p: f1n_collapsed(prob, p, t))
                 assert_allclose(moments_n(prob, t), want, rtol=0, atol=1e-9,
                                 err_msg=f"{prob.process.kind} t={t}")
         prob, t = expcov_problem, 0.25
@@ -122,7 +122,6 @@ class TestPdfErrors:
         prob = wiener_problem
 
         def self_ref(p, t):
-            from logistic_kle import f1n_collapsed
             return f1n_collapsed(prob, p, t)
 
         assert e_pdf_exact(prob, 0.75, exact=self_ref) < 1e-14
@@ -152,7 +151,7 @@ class TestPdfErrors:
         import dataclasses
         rich = dataclasses.replace(bridge_problem, N=6)
         val = e_pdf_exact(bridge_problem, 0.25,
-                          exact=lambda p, t: density_row(rich, p, t))
+                          exact=lambda p, t: f1n_collapsed(rich, p, t))
         # distance to N=6 should be close to the N=2 vs exact scale
         assert 0.0 < val < 0.02
 
