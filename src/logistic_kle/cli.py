@@ -142,9 +142,18 @@ def _validate(cfg):
     if cfg["errors"]["kind"] not in _ERROR_KINDS:
         raise SystemExit(f"error kind must be one of {', '.join(_ERROR_KINDS)}")
     for key in ("p_grid", "t_grid"):
-        if not isinstance(cfg[key], dict):
+        spec = cfg[key]
+        if not isinstance(spec, dict):
             raise SystemExit(f"{key} must be a grid object, not "
-                             f"{json.dumps(cfg[key])}")
+                             f"{json.dumps(spec)}")
+        if spec.get("values") is None:
+            ok = (all(isinstance(spec.get(k), (int, float))
+                      for k in ("start", "stop", "num")) and spec["num"] >= 1)
+        else:
+            ok = isinstance(spec["values"], list) and len(spec["values"]) > 0
+        if not ok:
+            raise ValueError(f"{key} needs a nonempty values list, or start, "
+                             f"stop and a positive num")
     domain = _build_process(proc).domain
     times = [("t_grid", t) for t in _grid_values(cfg["t_grid"])]
     times += [("errors.times", t) for t in cfg["errors"]["times"] or []]

@@ -233,12 +233,25 @@ class TestBadInput:
             assert "\n" not in msg
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("key", ["p_grid", "t_grid"])
-    def test_null_grid_refused_in_one_line(self, tmp_path, key):
-        with pytest.raises(SystemExit) as exc:
-            run(["pdf", "--preset", "example1", "--config",
-                 _cfg(tmp_path, {key: None}), "--out", tmp_path / "o"])
-        assert exc.value.code == f"{key} must be a grid object, not null"
+    @pytest.mark.parametrize("key, spec", [
+        ("p_grid", None), ("t_grid", None), ("t_grid", {"values": []}),
+        ("t_grid", {"values": None}), ("p_grid", {"values": []}),
+        ("p_grid", {"start": None})],
+        ids=["p_grid", "t_grid", "t_grid-empty", "t_grid-values-null",
+             "p_grid-empty", "p_grid-start-null"])
+    def test_null_grid_refused_in_one_line(self, tmp_path, capsys, key, spec):
+        # example1's t_grid has values only: a null list leaves no range
+        args = ["mc-check", "--preset", "example1", "--config",
+                _cfg(tmp_path, {key: spec}), "--out", tmp_path / "o"]
+        if spec is None:
+            with pytest.raises(SystemExit) as exc:
+                run(args)
+            assert exc.value.code == f"{key} must be a grid object, not null"
+        else:
+            assert run(args) == 2
+            assert capsys.readouterr().err == (
+                f"logistic-kle mc-check: {key} needs a nonempty values list, "
+                f"or start, stop and a positive num\n")
         assert not (tmp_path / "o").exists()
 
     def test_library_value_error_exits_two(self, tmp_path, capsys):

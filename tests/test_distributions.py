@@ -124,6 +124,53 @@ class TestInitialLaw:
         scalar = law.ppf(1.0 - 1e-12)
         assert isinstance(scalar, float) and scalar == x[-1]
 
+    def test_ppf_makes_one_betainc_pass(self, monkeypatch):
+        # structural, not a timing: one incomplete-beta evaluation per draw
+        # (plus the few that step again), and the tables once per law
+        import logistic_kle.distributions as dist
+        points = []
+        real = dist.betainc
+
+        def counted(a, b, x):
+            points.append(np.broadcast(a, b, x).size)
+            return real(a, b, x)
+
+        monkeypatch.setattr(dist, "betainc", counted)
+        law = truncated_beta(7, 10)
+        n = 1 << 16
+        u = np.random.default_rng(0).random(n)
+        points.clear()
+        law.ppf(u)
+        assert sum(points) <= 1.01 * n + dist._PPF_TABLE
+        points.clear()
+        law.ppf(u)
+        assert sum(points) <= 1.01 * n
+
+    @pytest.mark.parametrize("law", [
+        truncated_beta(7, 10, 0.99, 1.0 - 1e-6),
+        truncated_beta(7, 10, 0.95, 0.999),
+        truncated_beta(20, 20, 0.999, 0.9999)],
+        ids=["beta7-10-far", "beta7-10-upper", "beta20-20-upper"])
+    def test_upper_tail_support(self, law):
+        # I(p01) and I(p02) both round near 1 here: the law must not take
+        # their difference
+        opts = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+        mass, _ = quad(law.pdf, law.p01, law.p02, **opts)
+        assert abs(mass - 1.0) <= 1e-10
+        tail = np.logspace(-12, -2, 21)
+        u = np.concatenate([tail, np.linspace(0.02, 0.98, 49), 1.0 - tail])
+        x = law.ppf(u)
+        assert np.all((x >= law.p01) & (x <= law.p02))
+        assert_allclose(law.cdf(x), u, rtol=0, atol=1e-10)
+        # the mean's distance from 1, which keeps its digits
+        q1 = quad(lambda p: (1.0 - p) * law.pdf(p), law.p01, law.p02,
+                  **opts)[0] / mass
+        var = quad(lambda p: (1.0 - p - q1) ** 2 * law.pdf(p), law.p01,
+                   law.p02, **opts)[0] / mass
+        mean, law_var = law.moments()
+        assert_allclose(1.0 - mean, q1, rtol=1e-10)
+        assert_allclose(law_var, var, rtol=1e-8)
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             truncated_beta(0, 10)

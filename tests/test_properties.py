@@ -10,18 +10,20 @@ density one p at a time, and a box-spline row of N widths has up to
 only.  The Gauss rule over the law (``law_rule``) must reproduce its mass,
 mean m(t) and variance sigma_N(t)^2.
 
-Beta initial laws are drawn on supports below 0.6 with parameters up to
-10: higher up, ``truncated_beta`` normalises by a difference of two
-incomplete-beta values near 1, which cancels.  The exponential law covers
-every support kind, near 1 included.
+Initial laws, Beta with parameters in [0.5, 10] or truncated exponential,
+are drawn on every support kind, near 1 included: a Beta support in the
+far upper tail is computed in the mirrored variable 1 - p.  The Beta
+inverse CDF must match ``betaincinv`` to 1e-12 relative down to tails of
+1e-12.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.testing import assert_allclose
 from scipy.integrate import quad
-from scipy.special import expit, logit
+from scipy.special import betainc, betaincinv, expit, logit
 
 from logistic_kle import (KleProcess, Problem, f1n_collapsed, kn_sigma,
                           truncated_beta, truncated_exponential)
@@ -40,15 +42,14 @@ def processes(draw):
 
 
 @st.composite
-def initial_laws(draw):
+def initial_laws(draw, beta=None):
     shape = draw(st.sampled_from(["wide", "narrow", "near0", "near1"]))
-    beta = shape != "near1" and draw(st.booleans())
-    top = 0.6 if beta else 0.999
+    beta = draw(st.booleans()) if beta is None else beta
     if shape == "wide":
-        p01, p02 = draw(st.floats(1e-3, 0.3)), draw(st.floats(0.5, top))
+        p01, p02 = draw(st.floats(1e-3, 0.3)), draw(st.floats(0.5, 0.999))
     elif shape == "narrow":
         width = 10.0 ** -draw(st.floats(2.0, 4.0))
-        p01 = draw(st.floats(1e-3, top - width))
+        p01 = draw(st.floats(1e-3, 0.999 - width))
         p02 = p01 + width
     elif shape == "near0":
         p01 = 10.0 ** -draw(st.floats(2.0, 6.0))
@@ -124,3 +125,34 @@ def test_row_mass_is_one(case):
                    points=edges[1:-1] if edges.size > 2 else None, limit=200,
                    epsabs=1e-11, epsrel=0.0)
     assert abs(mass - 1.0) <= 1e-9, mass
+
+
+# both tails down to 1e-12, the median, and the smallest and largest
+# doubles inside (0, 1)
+_U = np.concatenate([[5e-324], np.logspace(-12, -1, 12), [0.5],
+                     1.0 - np.logspace(-1, -12, 12), [np.nextafter(1.0, 0.0)]])
+
+
+def _beta_ppf_reference(law, u):
+    """``betaincinv`` in the law's own variable: 1 - p where the law mirrors
+    its support, since I(p01) and I(p02) would both round near 1 in p."""
+    a, b = law.params
+    if law._frame.mirrored:
+        i01, i02 = betainc(b, a, 1.0 - law.p01), betainc(b, a, 1.0 - law.p02)
+        x = 1.0 - betaincinv(b, a, i01 + u * (i02 - i01))
+    else:
+        i01, i02 = betainc(a, b, law.p01), betainc(a, b, law.p02)
+        x = betaincinv(a, b, i01 + u * (i02 - i01))
+    return np.clip(x, law.p01, law.p02)
+
+
+@settings(max_examples=100, deadline=None)
+@given(initial_laws(beta=True), st.floats(1e-12, 1.0 - 1e-12))
+# a CDF table flat in double precision over its upper half
+@example(truncated_beta(2.0, 50.0, 0.1, 0.9), 0.75)
+def test_beta_ppf_matches_betaincinv(law, u):
+    u = np.append(_U, u)
+    x = law.ppf(u)
+    assert_allclose(x, _beta_ppf_reference(law, u), rtol=1e-12, atol=0)
+    scalar = law.ppf(np.array(u[-1]))    # a 0-d input gives a float
+    assert isinstance(scalar, float) and scalar == x[-1]
