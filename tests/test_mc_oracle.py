@@ -140,6 +140,22 @@ class TestDensityCheck:
                      0.0)
         assert np.max(np.abs(z)) > 5.0
 
+    def test_non_finite_expectation_fails(self, wiener_problem, monkeypatch):
+        # one bin without a finite expected frequency: the check must not
+        # pass, even where that bin's count is zero
+        real = mc_oracle.f1n_collapsed
+
+        def holed(problem, p, t):
+            row = real(problem, p, t)
+            row[0] = np.nan
+            return row
+
+        monkeypatch.setattr(mc_oracle, "f1n_collapsed", holed)
+        rep = mc_density_check(wiener_problem, 0.75,
+                               McConfig(seed=42, samples=10 ** 4, bins=20))
+        assert np.isnan(rep.z_scores[0])
+        assert not rep.max_abs_z <= 5.0
+
     def test_moments_within_monte_carlo_error(self, wiener_problem):
         rep = mc_density_check(wiener_problem, 0.75,
                                McConfig(seed=42, samples=10 ** 5, bins=50))
