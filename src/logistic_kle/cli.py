@@ -204,9 +204,16 @@ def _fmt(x):
     return format(float(x), ".9g")
 
 
+def _create(path: Path):
+    """Open an artifact for writing, making its directory first, so that a
+    run refused before its first artifact leaves no directory behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", newline="\n")
+
+
 def _write_csv(path: Path, header, rows):
     try:
-        with open(path, "w", newline="\n") as fh:
+        with _create(path) as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
                 fh.write(",".join(x if isinstance(x, str) else _fmt(x)
@@ -225,7 +232,7 @@ def _write_manifest(outdir: Path, command, cfg, artifacts):
         "config": cfg,
         "artifacts": {name: _sha256(outdir / name) for name in sorted(artifacts)},
     }
-    with open(outdir / "run_manifest.json", "w", newline="\n") as fh:
+    with _create(outdir / "run_manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -364,7 +371,7 @@ def cmd_mc_check(cfg, outdir: Path):
         f"density={_fmt(report.density_var)} z={_fmt(zv)}",
         f"verdict={'pass' if report.max_abs_z <= 5.0 else 'FAIL'}",
     ]
-    with open(outdir / "mc_report.txt", "w", newline="\n") as fh:
+    with _create(outdir / "mc_report.txt") as fh:
         fh.write("\n".join(lines) + "\n")
     print("\n".join(lines))
     return ["mc_report.csv", "mc_report.txt"], report.max_abs_z <= 5.0
@@ -396,7 +403,6 @@ def main(argv=None):
     try:
         cfg = resolve_config(args)
         outdir = Path(cfg["out"])
-        outdir.mkdir(parents=True, exist_ok=True)
 
         ok = True
         if args.command == "spectrum":

@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import beta as beta_fn, betainc, betaincc, ndtri
+from scipy.special import beta as beta_fn, betainc, betaincc, betaln, ndtri
 
 __all__ = [
     "InitialLaw",
@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 _SQRT3 = np.sqrt(3.0)
+_TINY = np.finfo(float).tiny
 
 # Beta inverse CDF: a table of the CDF at _PPF_TABLE points of the support,
 # a guide of _PPF_GUIDE equal cells of u into it (a power of 2, so u times
@@ -97,14 +98,39 @@ def _halley(y, level, upper, a, b, scale):
     """One Halley step on I_{a,b}(y) = level, or on the complement
     I_{b,a}(1 - y) = level where ``upper``, so that the upper tail keeps its
     digits.  The derivative is the kernel over ``scale`` = B(a, b).  Returns
-    the new y and |delta * dlog| of the step."""
+    the new y and |delta * dlog| of the step.
+
+    Where the kernel is not a positive normal float (it underflows in the
+    far tails of a Beta law with large a and b) the step is taken on
+    log I = log level instead, with the kernel in logs; such a step that is
+    not finite (I or level 0) leaves y where it is."""
     w = 1.0 - y
     i = betainc(np.where(upper, b, a), np.where(upper, a, b),
                 np.where(upper, w, y))
     resid = np.where(upper, level - i, i - level)
-    delta = resid * scale / (y ** (a - 1.0) * w ** (b - 1.0))
-    h = delta * ((a - 1.0) / y - (b - 1.0) / w)
-    return y - delta / (1.0 - 0.5 * h), np.abs(h)
+    kernel = y ** (a - 1.0) * w ** (b - 1.0)
+    dlog = (a - 1.0) / y - (b - 1.0) / w
+    odd = np.flatnonzero(~((kernel >= _TINY) & (kernel < np.inf)))
+    kernel[odd] = 1.0
+    delta = resid * scale / kernel
+    h = delta * dlog
+    step = delta / (1.0 - 0.5 * h)
+    if odd.size:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            io = i[odd]
+            gap = np.log(io) - np.log(level[odd])
+            # d is the Newton step on the log, gap over
+            # d(log I)/dy = kernel / (B I); h is its Halley correction
+            log_b_over_kernel = (betaln(a, b) - (a - 1.0) * np.log(y[odd])
+                                 - (b - 1.0) * np.log(w[odd]))
+            d = (np.where(upper[odd], -gap, gap)
+                 * np.exp(np.log(io) + log_b_over_kernel))
+            h[odd] = d * dlog[odd] - gap
+            step[odd] = d / (1.0 - 0.5 * h[odd])
+        stuck = odd[~(np.isfinite(step[odd]) & np.isfinite(h[odd]))]
+        step[stuck] = 0.0
+        h[stuck] = 0.0
+    return y - step, np.abs(h)
 
 
 def _quintic(y0, y1, d0, d1, e0, e1):

@@ -1,11 +1,11 @@
 """Monte-Carlo validation of the density rows.
 
 Samples the truncated solution directly -- P0 from the initial law, the KLE
-coordinates from their law, then P_t = expit(logit(P0) + K_N(t, xi)) -- and
-compares a histogram against expected bin frequencies, each the density at
-the bin midpoint times the bin width.  Bin counts are binomial, so each bin
-carries an exact z-score and no bandwidth or smoothing enters the
-comparison.
+coordinates from their law, then the closed-form solution
+P_t = P0 / (P0 + (1 - P0) exp(-K_N(t, xi))) -- and compares a histogram
+against expected bin frequencies, each the density at the bin midpoint times
+the bin width.  Bin counts are binomial, so each bin carries an exact
+z-score and no bandwidth or smoothing enters the comparison.
 
 Determinism: the PCG64 generator seeded with cfg.seed fully determines every
 draw; per sample the draw order is (P0, xi_1, ..., xi_N).
@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .density import Problem, f1n_collapsed, k_law
 from .kle import kn_sigma, primitive_h
@@ -64,14 +63,26 @@ class McReport:
     density_var: float
 
 
+def _solution(p0, k, out=None):
+    """The logistic solution P0 / (P0 + (1 - P0) exp(-K)) at growth
+    integral K, by one exp and in-place arithmetic.  exp(-K) overflows to
+    inf for K < -709, which gives exactly 0, and underflows to 0 for
+    K > 745, which gives exactly 1."""
+    with np.errstate(over="ignore"):
+        q = np.exp(-k)
+    q *= 1.0 - p0
+    q += p0
+    return np.divide(p0, q, out=out)
+
+
 def _sample_block(problem: Problem, t, rng, n):
     """Vectorized sampler: n draws with per-sample order (P0, xi_1..xi_N).
 
     The uniforms come row-major in blocks of at most ``_BLOCK_ROWS`` rows of
     1+N, so sample i consumes its 1+N variates consecutively in the
     documented order, and the stream is the one a single (n, 1+N) draw
-    would give.  Each block is transformed into its slice of the output,
-    so no temporary grows with n."""
+    would give.  Each block is mapped through ``_solution`` into its slice
+    of the output, so no temporary grows with n."""
     h = primitive_h(problem.process, t, problem.N)
     mean = problem.process.mean_primitive(t)
     x = np.empty(n)
@@ -80,7 +91,7 @@ def _sample_block(problem: Problem, t, rng, n):
         u = rng.random((stop - start, 1 + problem.N))
         p0 = problem.initial.ppf(u[:, 0])
         xi = problem.process.xi_law.from_uniform(u[:, 1:])
-        x[start:stop] = expit(logit(p0) + (mean + xi @ h))
+        _solution(p0, mean + xi @ h, out=x[start:stop])
     return x
 
 
@@ -102,8 +113,8 @@ def mc_density_check(problem: Problem, t, cfg: McConfig):
     problem.process.domain.require(t)
 
     k_lo, k_hi = k_extremes(problem, t)
-    lo = float(expit(logit(problem.initial.p01) + k_lo))
-    hi = float(expit(logit(problem.initial.p02) + k_hi))
+    lo = float(_solution(problem.initial.p01, k_lo))
+    hi = float(_solution(problem.initial.p02, k_hi))
     edges = np.linspace(lo, hi, cfg.bins + 1)
 
     x = _sample_block(problem, t, np.random.default_rng(int(cfg.seed)),

@@ -272,6 +272,19 @@ class TestBadInput:
             f"logistic-kle {command}: {message} must be positive and finite\n")
         assert not (tmp_path / "o" / "run_manifest.json").exists()
 
+    def test_refused_run_creates_no_directory(self, tmp_path):
+        # the law is refused after the config resolved, before any artifact
+        # is written: no output directory is made for nothing, and one that
+        # already existed is left as it was
+        args = ["mc-check", "--preset", "example1", "--config",
+                _cfg(tmp_path, {"initial": {"alpha": float("nan")}})]
+        assert run(args + ["--out", tmp_path / "new" / "o"]) == 2
+        assert not (tmp_path / "new").exists()
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        assert run(args + ["--out", kept]) == 2
+        assert kept.is_dir() and not any(kept.iterdir())
+
     def test_library_value_error_exits_two(self, tmp_path, capsys):
         code = run(["pdf", "--preset", "example1", "--config",
                     _cfg(tmp_path, {"p_grid": {"values": [0.5, 1.5]}}),

@@ -147,6 +147,29 @@ class TestInitialLaw:
         assert_allclose(law.ppf(1.0 - 1e-12), 0.49701400120918154,
                         rtol=1e-13, atol=0)
 
+    @pytest.mark.parametrize("a", [200.0, 500.0])
+    def test_beta_ppf_far_tails_of_underflowing_kernel(self, a):
+        # y^(a-1) (1-y)^(a-1) underflows in both tails of these laws, and
+        # was NaN where the Halley step divided by it
+        law = truncated_beta(a, a, 0.01, 0.99)
+        tail = 10.0 ** -np.arange(323.0, 0.0, -1.0)
+        u = np.sort(np.concatenate([[5e-324], tail, np.linspace(0.1, 0.9, 81),
+                                    1.0 - tail[-16:]]))
+        x = law.ppf(u)
+        assert np.all(np.isfinite(x))
+        assert np.all((x >= law.p01) & (x <= law.p02))
+        assert np.all(np.diff(x) >= 0)
+        # the oracle's level, formed as in beta_ppf_exact: below u = 1/2
+        # it underflows for the smallest u, where no digits are left to
+        # match
+        f = law._frame
+        m = f.i02 - f.i01
+        level = np.where(u > 0.5, f.j02 + (1.0 - u) * m, f.i01 + u * m)
+        normal = level >= np.finfo(float).tiny
+        assert normal.sum() > 0.9 * u.size
+        assert_allclose(x[normal], beta_ppf_exact(law, u[normal]),
+                        rtol=1e-12, atol=0)
+
     def test_ppf_makes_one_betainc_pass(self, monkeypatch):
         # structural, not a timing: certified intervals evaluate no
         # incomplete beta function, the few other draws one or a few each,

@@ -1,13 +1,15 @@
+import warnings
+
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-
-from scipy.special import expit, logit
+from scipy.special import expit
 
 from logistic_kle import (KleProcess, McConfig, Problem, k_extremes,
                           mc_density_check, mc_oracle, primitive_h,
                           truncated_beta, truncated_exponential)
-from logistic_kle.mc_oracle import _sample_block
+from logistic_kle.mc_oracle import _sample_block, _solution
 
 
 @pytest.fixture(scope="module")
@@ -65,8 +67,9 @@ class TestSampling:
         KleProcess.exponential_cov(1.0, 0.5)],
         ids=["gaussian", "uniform"])
     def test_blocks_match_one_matrix_draw(self, process, monkeypatch):
-        # one (n, 1+N) draw through the same transforms is the reference;
-        # the blocked sampler must reproduce it bit for bit
+        # one (n, 1+N) draw through the same transforms, the closed-form
+        # solution among them, is the reference; the blocked sampler must
+        # reproduce it bit for bit
         problem = Problem(process, truncated_beta(7.0, 10.0), 3)
         n, t = 1000, 0.3
         monkeypatch.setattr(mc_oracle, "_BLOCK_ROWS", 64)
@@ -75,9 +78,33 @@ class TestSampling:
         p0 = problem.initial.ppf(u[:, 0])
         xi = process.xi_law.from_uniform(u[:, 1:])
         K = process.mean_primitive(t) + xi @ primitive_h(process, t, problem.N)
-        ref = expit(logit(p0) + K)
+        ref = p0 / (p0 + (1.0 - p0) * np.exp(-K))
         x = _sample_block(problem, t, np.random.default_rng(9), n)
         assert np.array_equal(x, ref)
+
+    def test_solution_against_mpmath(self):
+        # P0 / (P0 + (1 - P0) e^{-K}) at 40 digits; the closed form rounds
+        # four operations and an exp, so 3 ulp bounds it
+        rng = np.random.default_rng(17)
+        p0 = expit(rng.uniform(-np.log(1e6), np.log(1e6), 3000))
+        k = rng.uniform(-40.0, 40.0, 3000)
+        x = _solution(p0, k)
+        with mp.workdps(40):
+            ref = [float(mp.mpf(a) / (mp.mpf(a) + (1 - mp.mpf(a))
+                                      * mp.exp(-mp.mpf(b))))
+                   for a, b in zip(p0, k)]
+        assert_allclose(x, ref, rtol=3 * np.finfo(float).eps, atol=0)
+
+    def test_solution_at_extreme_growth(self):
+        # exp(-K) overflows below K = -709 and underflows above K = 745:
+        # the solution is then exactly 0 or 1, without a warning
+        p0 = np.array([1e-6, 0.3, 1.0 - 1e-6])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(_solution(p0, np.full(3, -800.0)) == 0.0)
+            assert np.all(_solution(p0, np.full(3, 800.0)) == 1.0)
+            assert _solution(0.3, -800.0) == 0.0
+            assert _solution(0.3, 800.0) == 1.0
 
     def test_k_extremes_at_origin(self, wiener_problem):
         lo, hi = k_extremes(wiener_problem, 0.0)

@@ -88,13 +88,22 @@ def problems(draw, max_uniform_n=5):
 
 @settings(max_examples=40, deadline=None)
 @given(problems())
+# sigma = 1.3e-160 here: sigma^2 is subnormal and 1e-12 sigma^2 underflows
+# to 0, so the bounds are stated in units of sigma
+@example((Problem(KleProcess.wiener(1.0), truncated_exponential(1.0, 0.25, 0.5),
+                  1), 1.3475281343793835e-80))
 def test_law_rule_moments(case):
     prob, t = case
     k, w = law_rule(k_law(prob, t))
     m, sigma = kn_sigma(prob.process, t, prob.N)
     assert abs(w.sum() - 1.0) <= 1e-13
-    assert abs(w @ k - m) <= 1e-13 * sigma
-    assert abs(w @ (k - m) ** 2 - sigma ** 2) <= 1e-12 * sigma ** 2
+    if sigma == 0.0:
+        assert w @ k == m
+        assert w @ (k - m) ** 2 == 0.0
+    else:
+        z = (k - m) / sigma
+        assert abs(w @ z) <= 1e-13
+        assert abs(w @ z ** 2 - 1.0) <= 1e-12
 
 
 def _image_support(prob, t):
