@@ -137,8 +137,13 @@ def _validate(cfg):
     ini = cfg["initial"]
     if ini["kind"] not in ("beta", "exponential"):
         raise SystemExit(f"unknown initial law {ini['kind']!r}")
-    if not cfg["N"] or any(int(n) < 1 for n in cfg["N"]):
-        raise SystemExit("N list must contain positive integers")
+    # errors.N falls back to N, as in cmd_errors
+    for key, orders in (("N", cfg["N"]),
+                        ("errors.N", cfg["errors"]["N"] or cfg["N"])):
+        if not (isinstance(orders, list) and orders and all(
+                type(n) is int and n >= 1 for n in orders)):
+            raise SystemExit(f"{key} list must contain positive integers, "
+                             f"not {json.dumps(orders)}")
     if cfg["errors"]["kind"] not in _ERROR_KINDS:
         raise SystemExit(f"error kind must be one of {', '.join(_ERROR_KINDS)}")
     for key in ("p_grid", "t_grid"):

@@ -235,7 +235,7 @@ def _convolve_box(knots, coefs, c):
     k = np.searchsorted(knots, mid - c, side="right") - 1
     out = np.zeros((a.size, d1 + 1))
     out[:, 0] = cum[np.clip(j, 0, M)] - cum[np.clip(k + 1, 0, M)]
-    r, l = j < M, k >= 0
+    r, l = (j >= 0) & (j < M), (k >= 0) & (k < M)
     out[r] += _taylor_shift(anti[j[r]], a[r] + c - knots[j[r]])
     out[l, 0] += mass[k[l]]
     out[l] -= _taylor_shift(anti[k[l]], a[l] - c - knots[k[l]])

@@ -14,7 +14,8 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import beta as beta_fn, betainc, betaincc, betaln, ndtri
+from scipy.special import (beta as beta_fn, betainc, betaincc, betainccinv,
+                           betaincinv, betaln, ndtri)
 
 __all__ = [
     "InitialLaw",
@@ -26,24 +27,18 @@ __all__ = [
 ]
 
 _SQRT3 = np.sqrt(3.0)
-_TINY = np.finfo(float).tiny
 
 # Beta inverse CDF: a table of the CDF at _PPF_TABLE points of the support,
 # a guide of _PPF_GUIDE equal cells of u into it (a power of 2, so u times
 # it is exact), and on each interval a quintic Hermite polynomial of y(u).
-# An interval is certified when one Halley step from its polynomial moves y
-# by at most _PPF_CERTIFIED relative at each of _PPF_CHECKS; its draws take
-# the polynomial.  The other draws take Halley steps from it: a draw whose
-# step had |delta * dlog| (Newton step times the kernel's log-derivative)
-# of at least _PPF_SETTLED steps again, at most _PPF_MORE_STEPS more times;
-# below that bound the cubic convergence leaves an error under 1e-10 of the
-# step.
-_PPF_TABLE = 2049
+# An interval is certified when the Newton step from its polynomial,
+# |I(y) - level| B(a, b) / kernel(y), is at most _PPF_CERTIFIED relative to
+# y at each of _PPF_CHECKS; its draws take the polynomial.  The other draws
+# take scipy's inverse of I (``_BetaFrame.inverse``).
+_PPF_TABLE = 4097
 _PPF_GUIDE = 1 << 14
 _PPF_CERTIFIED = 1e-14
 _PPF_CHECKS = (0.25, 0.5, 0.75)
-_PPF_SETTLED = 1e-5
-_PPF_MORE_STEPS = 3
 
 # A Beta support whose untruncated upper-tail mass 1 - I(p01) is below this
 # is handled in the mirrored variable y = 1 - p: in p, I(p02) - I(p01)
@@ -85,6 +80,15 @@ class _BetaFrame(NamedTuple):
         rest = np.where(high, self.j02 + v * m, self.j01 - v * m)
         return np.where(upper, rest, target), upper
 
+    def inverse(self, u):
+        """The root y of ``levels`` at each u, by scipy's ``betaincinv``,
+        or ``betainccinv`` where the level is an upper-tail mass."""
+        level, upper = self.levels(u)
+        y = np.empty_like(level)
+        y[~upper] = betaincinv(self.a, self.b, level[~upper])
+        y[upper] = betainccinv(self.a, self.b, level[upper])
+        return y
+
 
 def _beta_frame(a, b, p01, p02):
     mirrored = betainc(a, b, p01) > 1.0 - _MIRROR_TAIL
@@ -94,43 +98,10 @@ def _beta_frame(a, b, p01, p02):
                       betaincc(a, b, p01), betaincc(a, b, p02), mirrored)
 
 
-def _halley(y, level, upper, a, b, scale):
-    """One Halley step on I_{a,b}(y) = level, or on the complement
-    I_{b,a}(1 - y) = level where ``upper``, so that the upper tail keeps its
-    digits.  The derivative is the kernel over ``scale`` = B(a, b).  Returns
-    the new y and |delta * dlog| of the step.
-
-    Where the kernel is not a positive normal float (it underflows in the
-    far tails of a Beta law with large a and b) the step is taken on
-    log I = log level instead, with the kernel in logs; such a step that is
-    not finite (I or level 0) leaves y where it is."""
-    w = 1.0 - y
-    i = betainc(np.where(upper, b, a), np.where(upper, a, b),
-                np.where(upper, w, y))
-    resid = np.where(upper, level - i, i - level)
-    kernel = y ** (a - 1.0) * w ** (b - 1.0)
-    dlog = (a - 1.0) / y - (b - 1.0) / w
-    odd = np.flatnonzero(~((kernel >= _TINY) & (kernel < np.inf)))
-    kernel[odd] = 1.0
-    delta = resid * scale / kernel
-    h = delta * dlog
-    step = delta / (1.0 - 0.5 * h)
-    if odd.size:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            io = i[odd]
-            gap = np.log(io) - np.log(level[odd])
-            # d is the Newton step on the log, gap over
-            # d(log I)/dy = kernel / (B I); h is its Halley correction
-            log_b_over_kernel = (betaln(a, b) - (a - 1.0) * np.log(y[odd])
-                                 - (b - 1.0) * np.log(w[odd]))
-            d = (np.where(upper[odd], -gap, gap)
-                 * np.exp(np.log(io) + log_b_over_kernel))
-            h[odd] = d * dlog[odd] - gap
-            step[odd] = d / (1.0 - 0.5 * h[odd])
-        stuck = odd[~(np.isfinite(step[odd]) & np.isfinite(h[odd]))]
-        step[stuck] = 0.0
-        h[stuck] = 0.0
-    return y - step, np.abs(h)
+def _log_b_over_kernel(a, b, y):
+    """log(B(a, b) / kernel(y)) for the Beta kernel y^(a-1) (1-y)^(b-1):
+    finite where the kernel and B(a, b) underflow."""
+    return betaln(a, b) - (a - 1.0) * np.log(y) - (b - 1.0) * np.log1p(-y)
 
 
 def _quintic(y0, y1, d0, d1, e0, e1):
@@ -156,7 +127,7 @@ def _horner(coef, j, s):
 
 
 class _PpfTables(NamedTuple):
-    """Points ``y`` of the frame's support with the CDF ``c`` at each; for
+    """The CDF ``c`` at equally spaced points of the frame's support; for
     each interval the reciprocal ``inv`` of its CDF step (0 where the CDF
     is flat in double precision), the coefficients ``coef`` of its
     polynomial of y(u) (one row per power of the local variable s, constant
@@ -164,7 +135,6 @@ class _PpfTables(NamedTuple):
     interval holding its left end (``guide``) and whether its right end
     lies two or more intervals further (``crowded``)."""
 
-    y: np.ndarray
     c: np.ndarray
     inv: np.ndarray
     coef: np.ndarray
@@ -180,7 +150,9 @@ class InitialLaw:
 
     ``kind`` is ``"beta"`` (params = (alpha, beta)) or ``"exponential"``
     (params = (lam,)).  ``norm_const`` is the integral of the un-normalized
-    kernel over the truncated support.
+    kernel over the truncated support; a law whose ``norm_const`` is not a
+    positive normal double is refused, since its density would be NaN or
+    carry few digits.
     """
 
     kind: str
@@ -188,6 +160,12 @@ class InitialLaw:
     p01: float
     p02: float
     norm_const: float = field(repr=False)
+
+    def __post_init__(self):
+        if not np.finfo(float).tiny <= self.norm_const < np.inf:
+            raise ValueError(
+                f"{self.kind} law on [{self.p01}, {self.p02}] has normalization "
+                f"constant {self.norm_const:.3g}, not a positive normal double")
 
     def _kernel(self, p):
         if self.kind == "beta":
@@ -235,14 +213,12 @@ class InitialLaw:
         draw's interval of a CDF table over the support in O(1), and the
         interval's quintic polynomial of y(u) gives the draw.  A draw in an
         interval whose polynomial was certified against I when the tables
-        were built (99.8 % of the presets' law) evaluates no I at all.  A
-        draw in any other interval takes Halley steps from the polynomial,
-        clipped to its interval: one, and a few more only while the step is
-        still large.  Where the target exceeds 1/2 the steps solve the
-        complement I_{b,a}(1 - y) = 1 - target instead, so that the upper
-        tail keeps its digits; both are formed from the nearer end of the
-        support (``_BetaFrame.levels``).  The tables are built on the first
-        Beta call, once per law."""
+        were built (99.98 % of the presets' law) evaluates no I at all.
+        Every other draw is scipy's ``betaincinv``, or ``betainccinv`` where
+        the target exceeds 1/2, so that the upper tail keeps its digits;
+        both targets are formed from the nearer end of the support
+        (``_BetaFrame.levels``).  The tables are built on the first Beta
+        call, once per law."""
         u = np.asarray(u, dtype=float)
         scalar = u.ndim == 0
         if np.any((u <= 0.0) | (u >= 1.0)):
@@ -259,25 +235,21 @@ class InitialLaw:
     def _ppf_tables(self):
         """The Beta inverse CDF's tables.  Each interval's polynomial is
         the quintic Hermite interpolant of y at its ends, with
-        dy/du = (i02 - i01) B(a, b) / kernel(y) and
-        d2y/du2 = -dlog (dy/du)^2 in closed form (the linear interpolant
-        where those overflow); an interval is certified only where its CDF
-        step is positive."""
+        dy/du = (i02 - i01) B(a, b) / kernel(y) (the ratio taken in logs)
+        and d2y/du2 = -dlog (dy/du)^2 in closed form.  An interval is
+        certified only where its CDF step is positive; the others keep a
+        zero polynomial, since their draws take ``_BetaFrame.inverse``."""
         f = self._frame
+        a, b = f.a, f.b
         y = np.linspace(f.y01, f.y02, _PPF_TABLE)
-        c = (betainc(f.a, f.b, y) - f.i01) / (f.i02 - f.i01)
+        c = (betainc(a, b, y) - f.i01) / (f.i02 - f.i01)
         dc = np.diff(c)
-        scale = beta_fn(f.a, f.b)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             inv = 1.0 / dc
-            d = (f.i02 - f.i01) * scale / (y ** (f.a - 1.0)
-                                           * (1.0 - y) ** (f.b - 1.0))
-            e = -((f.a - 1.0) / y - (f.b - 1.0) / (1.0 - y)) * d * d
+            d = (f.i02 - f.i01) * np.exp(_log_b_over_kernel(a, b, y))
+            e = -((a - 1.0) / y - (b - 1.0) / (1.0 - y)) * d * d
             coef = _quintic(y[:-1], y[1:], d[:-1] * dc, d[1:] * dc,
                             e[:-1] * dc * dc, e[1:] * dc * dc)
-            bad = ~np.isfinite(coef).all(axis=0)
-            coef[:, bad] = 0.0
-            coef[0, bad], coef[1, bad] = y[:-1][bad], np.diff(y)[bad]
             usable = (dc > 0.0) & np.isfinite(inv)
             inv[~usable] = 0.0
             ok = np.flatnonzero(usable)
@@ -285,16 +257,21 @@ class InitialLaw:
             j = np.tile(ok, len(_PPF_CHECKS))
             s = np.repeat(_PPF_CHECKS, ok.size)
             y_s = _horner(coef, j, s)
-            step = _halley(y_s, *f.levels(c[j] + s * dc[j]), f.a, f.b,
-                           scale)[0] - y_s
-        passed = np.abs(step) <= _PPF_CERTIFIED * np.abs(y_s)
+            level, upper = f.levels(c[j] + s * dc[j])
+            # the complement I_{b,a}(1 - y) where the level is an upper-tail
+            # mass: betainc with swapped arguments, much faster than betaincc
+            i = betainc(np.where(upper, b, a), np.where(upper, a, b),
+                        np.where(upper, 1.0 - y_s, y_s))
+            step = np.abs(i - level) * np.exp(_log_b_over_kernel(a, b, y_s))
+            passed = step <= _PPF_CERTIFIED * np.abs(y_s)
         certified = np.zeros(dc.size, dtype=bool)
         certified[ok] = passed.reshape(len(_PPF_CHECKS), -1).all(axis=0)
+        coef[:, ~certified] = 0.0
 
         cells = np.arange(_PPF_GUIDE + 1) / _PPF_GUIDE
         ends = np.clip(np.searchsorted(c, cells, side="right") - 1,
                        0, _PPF_TABLE - 2)
-        return _PpfTables(y, c, inv, coef, certified, ends[:-1],
+        return _PpfTables(c, inv, coef, certified, ends[:-1],
                           np.diff(ends) > 1)
 
     def _beta_ppf(self, u):
@@ -308,36 +285,9 @@ class InitialLaw:
             j[far] = np.searchsorted(t.c, u[far], side="right") - 1
         y = _horner(t.coef, j, (u - t.c[j]) * t.inv[j])
 
-        slow = np.flatnonzero(~t.certified[j])
-        if slow.size:
-            y[slow] = self._beta_solve(y[slow], u[slow], j[slow])
+        slow = ~t.certified[j]
+        y[slow] = f.inverse(u[slow])
         return 1.0 - y if f.mirrored else y
-
-    def _beta_solve(self, y, u, j):
-        """Halley steps for draws in uncertified intervals, from their
-        polynomial clipped to the interval."""
-        f = self._frame
-        grid = self._ppf_tables.y
-        y = np.clip(y, np.minimum(grid[j], grid[j + 1]),
-                    np.maximum(grid[j], grid[j + 1]))
-        level, upper = f.levels(u)
-        lo, hi = sorted((f.y01, f.y02))
-        # a target rounded to 0 or 1 has its root at 0 or 1, beyond the
-        # support, where a flat table gives no start that converges
-        zero = np.flatnonzero(level == 0.0)
-        y[zero] = np.where(upper[zero], hi, lo)
-        # the kernel, not self.pdf: ppf evaluates no density points
-        shape = (f.a, f.b, beta_fn(f.a, f.b))
-        y, h = _halley(y, level, upper, *shape)
-        np.clip(y, lo, hi, out=y)
-        todo = np.flatnonzero(h >= _PPF_SETTLED)
-        for _ in range(_PPF_MORE_STEPS):
-            if not todo.size:
-                break
-            y_todo, h = _halley(y[todo], level[todo], upper[todo], *shape)
-            y[todo] = np.clip(y_todo, lo, hi)
-            todo = todo[h >= _PPF_SETTLED]
-        return y
 
     def moments(self):
         """(mean, variance) in closed form: incomplete-beta ratios for the

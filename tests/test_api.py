@@ -87,3 +87,40 @@ def test_no_deferred_scipy_imports():
             hits += [f"{path.name}:{node.lineno} {name}" for name in names
                      if name.startswith(heavy)]
     assert not hits, f"heavy scipy imports in the package: {hits}"
+
+
+def _private_names(tree):
+    """Module-level private functions, classes and constants of a module,
+    and the private methods of its classes; dunder names are not private."""
+    private = lambda name: name.startswith("_") and not name.endswith("__")
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [(t.id, node.lineno) for t in targets
+                      if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            names += [(item.name, item.lineno) for item in node.body
+                      if isinstance(item, ast.FunctionDef)]
+    return [(name, line) for name, line in names if private(name)]
+
+
+def test_no_unused_private_names():
+    # a deleted code path must take its helpers and constants with it
+    paths = sorted((ROOT / "src" / "logistic_kle").glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    unused = [f"{path.relative_to(ROOT)}:{line} {name}"
+              for path, tree in trees.items()
+              for name, line in _private_names(tree) if name not in used]
+    assert not unused, f"private names nothing references: {unused}"

@@ -272,6 +272,36 @@ class TestBadInput:
             f"logistic-kle {command}: {message} must be positive and finite\n")
         assert not (tmp_path / "o" / "run_manifest.json").exists()
 
+    def test_unrepresentable_normalization_refused_in_one_line(
+            self, tmp_path, capsys):
+        # e^{-1e4 p} underflows over the whole support, which wrote rows of
+        # NaN densities and exited 0
+        extra = {"initial": {"kind": "exponential", "rate": 1e4}, "N": [1]}
+        code = run(["pdf", "--preset", "example1", "--config",
+                    _cfg(tmp_path, extra), "--out", tmp_path / "o"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "logistic-kle pdf: exponential law on [0.1, 0.9] has normalization "
+            "constant 0, not a positive normal double\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("extra, key", [
+        ({"N": [1.7]}, "N"), ({"N": [True]}, "N"), ({"N": [0]}, "N"),
+        ({"N": []}, "N"), ({"errors": {"N": [2.9]}}, "errors.N"),
+        ({"errors": {"N": [2, -1]}}, "errors.N")],
+        ids=["N-float", "N-bool", "N-zero", "N-empty", "errors.N-float",
+             "errors.N-negative"])
+    def test_non_integer_orders_refused_in_one_line(self, tmp_path, extra,
+                                                    key):
+        # N = 1.7 ran N = 1 and wrote pdf_N1.csv under a manifest saying 1.7
+        with pytest.raises(SystemExit) as exc:
+            run(["errors", "--preset", "example1", "--config",
+                 _cfg(tmp_path, extra), "--out", tmp_path / "o"])
+        orders = extra["N"] if key == "N" else extra["errors"]["N"]
+        assert exc.value.code == (f"{key} list must contain positive "
+                                  f"integers, not {json.dumps(orders)}")
+        assert not (tmp_path / "o").exists()
+
     def test_refused_run_creates_no_directory(self, tmp_path):
         # the law is refused after the config resolved, before any artifact
         # is written: no output directory is made for nothing, and one that

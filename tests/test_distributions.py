@@ -12,11 +12,15 @@ from logistic_kle import (STANDARD_GAUSSIAN, UNIFORM_SYM, truncated_beta,
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import beta_ppf_exact, cdf_quad  # noqa: E402
 
-# Beta laws for the inverse CDF; beta7-10 is the law of the presets
+# Beta laws for the inverse CDF; beta7-10 is the law of the presets, and
+# beta200-200 is concentrated, so a fifth of its mass lies in uncertified
+# intervals
 _BETA_LAWS = pytest.mark.parametrize("law", [
     truncated_beta(7, 10), truncated_beta(0.5, 0.5), truncated_beta(50, 2),
-    truncated_beta(2, 50), truncated_beta(7, 10, 0.4, 0.45)],
-    ids=["beta7-10", "beta0.5-0.5", "beta50-2", "beta2-50", "narrow"])
+    truncated_beta(2, 50), truncated_beta(7, 10, 0.4, 0.45),
+    truncated_beta(200, 200, 0.01, 0.99)],
+    ids=["beta7-10", "beta0.5-0.5", "beta50-2", "beta2-50", "narrow",
+         "beta200-200"])
 
 
 @pytest.fixture(scope="module")
@@ -134,10 +138,14 @@ class TestInitialLaw:
                         atol=0)
 
     def test_ppf_certified_mass(self):
-        # the presets' law: almost every draw takes its interval's
-        # polynomial and evaluates no incomplete beta function
-        t = truncated_beta(7, 10)._ppf_tables
-        assert np.diff(t.c)[t.certified].sum() >= 0.99
+        # almost every draw takes its interval's polynomial and evaluates
+        # no incomplete beta function nor its inverse, for the presets' law
+        # and for a steep and a concentrated one
+        for law, mass in ((truncated_beta(7, 10), 0.999),
+                          (truncated_beta(2, 50), 0.98),
+                          (truncated_beta(200, 200, 0.01, 0.99), 0.95)):
+            t = law._ppf_tables
+            assert np.diff(t.c)[t.certified].sum() >= mass, law
 
     def test_beta_ppf_upper_tail_pinned(self):
         # a 50-digit mpmath root of I(p) = I(p01) + u (I(p02) - I(p01)) at
@@ -149,8 +157,8 @@ class TestInitialLaw:
 
     @pytest.mark.parametrize("a", [200.0, 500.0])
     def test_beta_ppf_far_tails_of_underflowing_kernel(self, a):
-        # y^(a-1) (1-y)^(a-1) underflows in both tails of these laws, and
-        # was NaN where the Halley step divided by it
+        # y^(a-1) (1-y)^(a-1) underflows in both tails of these laws: a
+        # step or a certificate that divides by it gives NaN there
         law = truncated_beta(a, a, 0.01, 0.99)
         tail = 10.0 ** -np.arange(323.0, 0.0, -1.0)
         u = np.sort(np.concatenate([[5e-324], tail, np.linspace(0.1, 0.9, 81),
@@ -172,27 +180,30 @@ class TestInitialLaw:
 
     def test_ppf_makes_one_betainc_pass(self, monkeypatch):
         # structural, not a timing: certified intervals evaluate no
-        # incomplete beta function, the few other draws one or a few each,
-        # and the tables (and their certification) are built once per law
+        # incomplete beta function nor its inverse, the few other draws one
+        # inverse each, and the tables (and their certification) are built
+        # once per law
         import logistic_kle.distributions as dist
         points = []
-        real = dist.betainc
 
-        def counted(a, b, x):
-            points.append(np.broadcast(a, b, x).size)
-            return real(a, b, x)
+        def counted(real):
+            def call(a, b, x):
+                points.append(np.broadcast(a, b, x).size)
+                return real(a, b, x)
+            return call
 
-        monkeypatch.setattr(dist, "betainc", counted)
+        for name in ("betainc", "betaincinv", "betainccinv"):
+            monkeypatch.setattr(dist, name, counted(getattr(dist, name)))
         law = truncated_beta(7, 10)
         n = 1 << 16
         u = np.random.default_rng(0).random(n)
         points.clear()
         law.ppf(u)
         tables = dist._PPF_TABLE + len(dist._PPF_CHECKS) * (dist._PPF_TABLE - 1)
-        assert sum(points) <= 0.01 * n + tables
+        assert sum(points) <= 0.001 * n + tables
         points.clear()
         law.ppf(u)
-        assert sum(points) <= 0.01 * n
+        assert sum(points) <= 0.001 * n
 
     @pytest.mark.parametrize("law", [
         truncated_beta(7, 10, 0.99, 1.0 - 1e-6),
@@ -235,6 +246,19 @@ class TestInitialLaw:
             truncated_beta(7, 10, 0.9, 0.1)
         with pytest.raises(ValueError):
             truncated_beta(7, 10, 0.0, 0.9)
+
+    @pytest.mark.parametrize("make, args", [
+        (truncated_beta, (600, 600, 0.3, 0.7)),
+        (truncated_exponential, (1e4,)),
+        (truncated_exponential, (800, 0.9, 0.95))],
+        ids=["beta600-600-zero", "exp1e4-zero", "exp800-subnormal"])
+    def test_unrepresentable_normalization_refused(self, make, args):
+        # B(600, 600) and e^{-1000} underflow to 0, which made the density
+        # NaN; a subnormal 2.03e-313 made it lose digits.  B(500, 500) =
+        # 1.5e-302 is normal: test_beta_ppf_far_tails_of_underflowing_kernel
+        # builds that law
+        with pytest.raises(ValueError, match="not a positive normal double"):
+            make(*args)
 
 
 class TestXiLaw:

@@ -92,6 +92,10 @@ def problems(draw, max_uniform_n=5):
 # to 0, so the bounds are stated in units of sigma
 @example((Problem(KleProcess.wiener(1.0), truncated_exponential(1.0, 0.25, 0.5),
                   1), 1.3475281343793835e-80))
+# one ulp before T the narrowest width is 9e-17: the widest box rounds its
+# knots together, and a piece's window edge lands past the last old knot
+@example((Problem(KleProcess.exponential_cov(1.0, 0.5),
+                  truncated_exponential(1.0, 0.25, 0.5), 3), 0.4999999999999999))
 def test_law_rule_moments(case):
     prob, t = case
     k, w = law_rule(k_law(prob, t))
