@@ -144,6 +144,13 @@ def _validate(cfg):
                 type(n) is int and n >= 1 for n in orders)):
             raise SystemExit(f"{key} list must contain positive integers, "
                              f"not {json.dumps(orders)}")
+    # int() would truncate a float; McConfig checks the Monte-Carlo ranges
+    for key, value in (("spectrum_count", cfg["spectrum_count"]),
+                       ("mc.samples", cfg["mc"]["samples"]),
+                       ("mc.bins", cfg["mc"]["bins"])):
+        if not (type(value) is int and value >= 1):
+            raise SystemExit(f"{key} must be a positive integer, "
+                             f"not {json.dumps(value)}")
     if cfg["errors"]["kind"] not in _ERROR_KINDS:
         raise SystemExit(f"error kind must be one of {', '.join(_ERROR_KINDS)}")
     for key in ("p_grid", "t_grid"):
@@ -248,7 +255,7 @@ def _write_manifest(outdir: Path, command, cfg, artifacts):
 
 def cmd_spectrum(cfg, outdir: Path):
     process = _build_process(cfg["process"])
-    count = int(cfg["spectrum_count"])
+    count = cfg["spectrum_count"]
     if process.kind == "wiener":
         trace = process.params["T"] ** 2 / 2.0
     elif process.kind == "bridge":
@@ -354,7 +361,7 @@ def cmd_mc_check(cfg, outdir: Path):
     N = int(cfg["N"][0])
     problem = _problem(cfg, N)
     report = mc_density_check(problem, t, McConfig(
-        seed=int(cfg["seed"]), samples=int(mc["samples"]), bins=int(mc["bins"])))
+        seed=int(cfg["seed"]), samples=mc["samples"], bins=mc["bins"]))
 
     rows = [(i, report.bin_edges[i], report.bin_edges[i + 1],
              int(report.counts[i]), report.expected_freq[i], report.z_scores[i])

@@ -116,9 +116,11 @@ def _quintic(y0, y1, d0, d1, e0, e1):
 
 
 def _horner(coef, j, s):
-    """The polynomial of interval j at local s, pointwise, by Horner's rule;
-    one row of coefficients is gathered at a time, so the temporaries stay
-    the size of s."""
+    """The polynomial of interval j at local s, pointwise, by Horner's rule.
+    ``coef`` holds one row per degree, constant first, and one column per
+    interval; j is an index array shaped like s, gathered one row at a
+    time so the temporaries stay the size of s, or one integer index,
+    whose scalar coefficients serve every point."""
     y = coef[-1][j]
     for row in coef[-2::-1]:
         y *= s

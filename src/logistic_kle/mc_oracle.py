@@ -38,6 +38,9 @@ class McConfig:
             raise ValueError("need at least 10^4 samples for binomial z-scores")
         if self.bins < 20:
             raise ValueError("need at least 20 bins")
+        if self.bins > self.samples:
+            raise ValueError(f"{self.bins} bins exceed the {self.samples} "
+                             f"samples")
 
 
 @dataclass(frozen=True)

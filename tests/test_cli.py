@@ -331,3 +331,31 @@ class TestBadInput:
         assert capsys.readouterr().err == (
             "logistic-kle pdf: box-spline law of 11 widths refused: "
             "at most 10 are supported\n")
+
+    @pytest.mark.parametrize("extra, key, value", [
+        ({"spectrum_count": -3}, "spectrum_count", "-3"),
+        ({"spectrum_count": 2.5}, "spectrum_count", "2.5"),
+        ({"spectrum_count": True}, "spectrum_count", "true"),
+        ({"mc": {"samples": 1e6}}, "mc.samples", "1000000.0"),
+        ({"mc": {"bins": 1e9}}, "mc.bins", "1000000000.0")],
+        ids=["spectrum_count-negative", "spectrum_count-float",
+             "spectrum_count-bool", "mc.samples-float", "mc.bins-float"])
+    def test_non_integer_counts_refused_in_one_line(self, tmp_path, extra,
+                                                    key, value):
+        # spectrum_count -3 wrote a header-only spectrum.csv, 2.5 ran 2
+        with pytest.raises(SystemExit) as exc:
+            run(["spectrum", "--preset", "example1", "--config",
+                 _cfg(tmp_path, extra), "--out", tmp_path / "o"])
+        assert exc.value.code == f"{key} must be a positive integer, not {value}"
+        assert not (tmp_path / "o").exists()
+
+    def test_more_bins_than_samples_refused_in_one_line(self, tmp_path, capsys):
+        # 10^9 bins were allocated and the run was killed for memory; fewer
+        # here, so that a regression costs no memory
+        extra = {"mc": {"samples": 10 ** 4, "bins": 10 ** 5}}
+        code = run(["mc-check", "--preset", "example1", "--config",
+                    _cfg(tmp_path, extra), "--out", tmp_path / "o"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "logistic-kle mc-check: 100000 bins exceed the 10000 samples\n")
+        assert not (tmp_path / "o").exists()

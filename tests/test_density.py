@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.polynomial import polyval
 from numpy.testing import assert_allclose
 from scipy.integrate import simpson
 from scipy.special import expit, logit
 
-from logistic_kle import (KleProcess, Problem, f1_exact_wiener,
+from logistic_kle import (InitialLaw, KleProcess, Problem, f1_exact_wiener,
                           f1n_collapsed, f1n_eval, kn_sigma, primitive_h,
                           rvt_kernel, truncated_beta, truncated_exponential)
 from logistic_kle.density import (MAX_BOX_N, BoxSplineLaw, NormalLaw,
@@ -184,6 +185,24 @@ class TestBoxSplineLaw:
         assert point.breaks().tolist() == [0.0, 0.0]
         assert np.all(point.pdf(x) == 0.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(c=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=MAX_BOX_N),
+           s=st.floats(0.05, 0.95))
+    def test_piece_pdf_matches_pdf(self, c, s):
+        # the density engine's panel-by-panel evaluation, with one piece's
+        # scalar coefficients, against the searchsorted pdf and numpy's
+        # evaluator, at one interior point of every piece
+        law = BoxSplineLaw.from_widths(c)
+        knots = law.breaks()
+        k = knots[:-1] + s * np.diff(knots)
+        inside = (k > knots[:-1]) & (k < knots[1:])
+        got = np.array([law.piece_pdf(i, x) for i, x in enumerate(k)])[inside]
+        ulp = np.spacing(np.abs(got))
+        assert np.all(np.abs(got - law.pdf(k)[inside]) <= ulp)
+        ref = np.array([polyval(x - knots[i], law.coefs[i])
+                        for i, x in enumerate(k)])[inside]
+        assert np.all(np.abs(got - ref) <= ulp)
+
     def test_laws_by_coordinate_law(self, wiener_problem, expcov_problem):
         law = k_law(wiener_problem, 0.75)
         assert isinstance(law, NormalLaw)
@@ -247,6 +266,41 @@ class TestCollapsed:
             f = f1n_collapsed(wiener_problem, p[1:-1], t)
             mass = simpson(np.concatenate([[0.0], f, [0.0]]), x=p)
             assert_allclose(mass, 1.0, atol=1e-6)
+
+    def test_only_panels_meeting_the_support(self, wiener_problem,
+                                             expcov_problem, monkeypatch):
+        # InitialLaw.pdf sees 24 nodes per (p, panel) pair of positive
+        # clipped width, and a p whose window meets no panel reads 0
+        p = np.linspace(0.002, 0.998, 199)
+        calls, pdf = [], InitialLaw.pdf
+
+        def counted(law, q):
+            calls.append(np.size(q))
+            return pdf(law, q)
+
+        monkeypatch.setattr(InitialLaw, "pdf", counted)
+        for prob, t in ((wiener_problem, 0.5), (expcov_problem, 0.25)):
+            brk, ini = k_law(prob, t).breaks(), prob.initial
+            v = logit(p)[:, None]
+            lo = np.maximum(brk[:-1], v - logit(ini.p02))
+            met = np.minimum(brk[1:], v - logit(ini.p01)) - lo > 0.0
+            assert 0 < met.sum() < met.size and not met.any(axis=1).all()
+            calls.clear()
+            f = f1n_collapsed(prob, p, t)
+            assert sum(calls) == 24 * met.sum()
+            assert np.all(f[~met.any(axis=1)] == 0.0)
+            assert np.all(f[met.any(axis=1)] > 0.0)
+
+    def test_box_law_evaluated_by_piece(self, expcov_problem, monkeypatch):
+        p = np.linspace(0.02, 0.98, 25)
+        want = f1n_collapsed(expcov_problem, p, 0.25)
+
+        def refuse(law, k):
+            raise AssertionError("BoxSplineLaw.pdf called")
+
+        monkeypatch.setattr(BoxSplineLaw, "pdf", refuse)
+        assert np.array_equal(f1n_collapsed(expcov_problem, p, 0.25), want)
+        law_rule(k_law(expcov_problem, 0.25))
 
     def test_scalar_p_matches_row(self, expcov_problem):
         got = f1n_collapsed(expcov_problem, 0.45, 0.25)

@@ -38,6 +38,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             McConfig(seed=1, bins=19)
 
+    def test_more_bins_than_samples_refused(self):
+        # refused before a histogram of 10^9 bins is allocated
+        with pytest.raises(ValueError, match="1000000000 bins exceed"):
+            McConfig(seed=1, samples=10 ** 4, bins=10 ** 9)
+
 
 class TestSampling:
     def test_scalar_draws_stay_in_support(self, wiener_problem):
